@@ -319,6 +319,32 @@ impl EcvEnv {
         out
     }
 
+    /// Draws one complete assignment into `slots`: one value per declared
+    /// ECV in name order, consuming the RNG exactly as
+    /// [`EcvEnv::sample_assignment`] does. Sampling loops reuse `slots`
+    /// across draws and build the named map only when they need it
+    /// ([`EcvEnv::assignment_from_slots`]).
+    pub fn sample_slots<R: Rng + ?Sized>(&self, rng: &mut R, slots: &mut Vec<EcvValue>) {
+        slots.clear();
+        slots.extend(
+            self.decls
+                .iter()
+                .map(|(name, decl)| match self.pinned.get(name) {
+                    Some(v) => *v,
+                    None => decl.dist.sample(rng),
+                }),
+        );
+    }
+
+    /// The named assignment for `slots` filled by [`EcvEnv::sample_slots`].
+    pub fn assignment_from_slots(&self, slots: &[EcvValue]) -> BTreeMap<String, EcvValue> {
+        self.decls
+            .keys()
+            .cloned()
+            .zip(slots.iter().copied())
+            .collect()
+    }
+
     /// Enumerates every assignment over the unpinned finite-support ECVs.
     ///
     /// Returns `(assignment, probability)` pairs, or an error if any unpinned

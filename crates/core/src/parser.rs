@@ -65,6 +65,15 @@ pub const KEYWORDS: &[&str] = &[
     "false",
 ];
 
+/// Deepest nesting of expressions, unary operators and blocks the parser
+/// accepts. Interfaces cross trust boundaries, so a hostile file must get a
+/// structured [`Error::Parse`] rather than exhaust the host stack: in the
+/// parser itself, or in a pass that later recurses over the AST. Real
+/// interfaces nest a few levels deep; at this limit parsing, linting and
+/// evaluation fit a 2 MiB thread stack even in unoptimized builds, where
+/// one level of parentheses costs about 18 KiB of parser stack.
+pub const MAX_NESTING: usize = 64;
+
 const ENERGY_SUFFIXES: &[(&str, f64)] = &[
     ("J", 1.0),
     ("mJ", 1e-3),
@@ -78,11 +87,7 @@ const ENERGY_SUFFIXES: &[(&str, f64)] = &[
 /// Parses a complete `interface` declaration from source text.
 pub fn parse_interface(src: &str) -> Result<Interface> {
     let toks = lex(src)?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        units: BTreeSet::new(),
-    };
+    let mut p = Parser::new(toks);
     let iface = p.interface()?;
     p.expect_eof()?;
     iface.validate()?;
@@ -92,11 +97,7 @@ pub fn parse_interface(src: &str) -> Result<Interface> {
 /// Parses a standalone expression (useful for tests and tools).
 pub fn parse_expr(src: &str) -> Result<Expr> {
     let toks = lex(src)?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        units: BTreeSet::new(),
-    };
+    let mut p = Parser::new(toks);
     let (e, _) = p.expr()?;
     p.expect_eof()?;
     Ok(e)
@@ -106,9 +107,31 @@ struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
     units: BTreeSet<String>,
+    /// Current nesting depth, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
+    fn new(toks: Vec<Spanned>) -> Parser {
+        Parser {
+            toks,
+            pos: 0,
+            units: BTreeSet::new(),
+            depth: 0,
+        }
+    }
+
+    /// Runs `f` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.err(format!("nesting exceeds the limit of {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     fn peek(&self) -> Option<&Tok> {
         self.toks.get(self.pos).map(|s| &s.tok)
     }
@@ -349,14 +372,16 @@ impl Parser {
 
     fn block(&mut self) -> Result<(Vec<Stmt>, Vec<StmtSpans>)> {
         self.expect(&Tok::LBrace, "`{`")?;
-        let mut stmts = Vec::new();
-        let mut spans = Vec::new();
-        while !self.eat(&Tok::RBrace) {
-            let (s, sp) = self.stmt()?;
-            stmts.push(s);
-            spans.push(sp);
-        }
-        Ok((stmts, spans))
+        self.nested(|p| {
+            let mut stmts = Vec::new();
+            let mut spans = Vec::new();
+            while !p.eat(&Tok::RBrace) {
+                let (s, sp) = p.stmt()?;
+                stmts.push(s);
+                spans.push(sp);
+            }
+            Ok((stmts, spans))
+        })
     }
 
     fn stmt(&mut self) -> Result<(Stmt, StmtSpans)> {
@@ -472,7 +497,7 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<(Expr, ExprSpans)> {
-        self.or_expr()
+        self.nested(Self::or_expr)
     }
 
     fn or_expr(&mut self) -> Result<(Expr, ExprSpans)> {
@@ -558,7 +583,7 @@ impl Parser {
     fn unary_expr(&mut self) -> Result<(Expr, ExprSpans)> {
         let sp = self.span_here();
         if self.eat(&Tok::Minus) {
-            let (inner, is) = self.unary_expr()?;
+            let (inner, is) = self.nested(Self::unary_expr)?;
             // Fold negation into literals so `-1` round-trips as `Num(-1)`;
             // the folded literal keeps the minus token's position.
             return Ok(match inner {
@@ -571,7 +596,7 @@ impl Parser {
             });
         }
         if self.eat(&Tok::Bang) {
-            let (inner, is) = self.unary_expr()?;
+            let (inner, is) = self.nested(Self::unary_expr)?;
             return Ok((
                 Expr::Unary(UnOp::Not, Box::new(inner)),
                 ExprSpans::node(sp, vec![is]),
@@ -759,11 +784,7 @@ fn rewrite_expr(e: &mut Expr, bound: &BTreeSet<String>, ecvs: &BTreeSet<String>)
 /// Parses an interface and resolves Fig. 1-style bare ECV references.
 pub fn parse(src: &str) -> Result<Interface> {
     let toks = lex(src)?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        units: BTreeSet::new(),
-    };
+    let mut p = Parser::new(toks);
     let mut iface = p.interface()?;
     p.expect_eof()?;
     resolve_ecv_reads(&mut iface);
@@ -780,11 +801,7 @@ pub fn parse(src: &str) -> Result<Interface> {
 /// declared externs against the sibling providers (rule W003).
 pub fn parse_all(src: &str) -> Result<Vec<Interface>> {
     let toks = lex(src)?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        units: BTreeSet::new(),
-    };
+    let mut p = Parser::new(toks);
     let mut out = Vec::new();
     while !p.at_eof() {
         let mut iface = p.interface()?;
@@ -1166,5 +1183,35 @@ mod tests {
         let ifaces = parse_all(FIG1).unwrap();
         assert_eq!(ifaces.len(), 1);
         assert_eq!(ifaces[0], parse(FIG1).unwrap());
+    }
+
+    /// Hostile nesting gets a structured parse error, never a stack
+    /// overflow, and legitimate nesting up to the limit still parses.
+    #[test]
+    fn nesting_is_bounded() {
+        let body = |b: String| format!("interface x {{ fn f(n) {{ {b} }} }}");
+        let parens = |d: usize| body(format!("return {}1{};", "(".repeat(d), ")".repeat(d)));
+        for depth in [10_000, 100_000] {
+            for src in [
+                parens(depth),
+                body(format!("return {}n;", "-".repeat(depth))),
+                body(format!("return {}n;", "!".repeat(depth))),
+                body(format!(
+                    "{}return 1 J;{}",
+                    "if n > 0 { ".repeat(depth),
+                    " }".repeat(depth)
+                )),
+            ] {
+                match parse(&src) {
+                    Err(Error::Parse { msg, .. }) => {
+                        assert!(msg.contains("nesting exceeds"), "{msg}")
+                    }
+                    other => panic!("depth {depth}: expected a nesting error, got {other:?}"),
+                }
+            }
+        }
+        // The function body and the return expression take two levels.
+        parse(&parens(MAX_NESTING - 2)).unwrap();
+        assert!(parse(&parens(MAX_NESTING - 1)).is_err());
     }
 }

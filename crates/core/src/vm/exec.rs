@@ -5,8 +5,10 @@
 //! offset), a parallel stack of while-loop trip counters, the resolved
 //! ECV slots for the current sample, and the fuel budget. The instance is
 //! designed to be **reused across samples** — `run` resets per-call state
-//! but keeps the allocations, which is where most of the Monte-Carlo
-//! speedup over the tree-walk comes from.
+//! but keeps the allocations. Most of the compiled Monte-Carlo speedup over
+//! the tree-walk does not come from here but from the Monte-Carlo sampler's
+//! assignment memo in [`crate::interp`], which skips `run` entirely for
+//! an ECV assignment it has already executed.
 //!
 //! Semantics are defined by the tree-walk interpreter in
 //! [`crate::interp`]: every arithmetic case, error variant, error message,

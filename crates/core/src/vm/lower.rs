@@ -162,7 +162,7 @@ impl PathState {
 /// distinctions `Value: PartialEq` either blurs (NaN) or the fold must not
 /// blur (signed zero), since folded constants must be indistinguishable from
 /// interpreter-computed values.
-pub(crate) fn bit_eq(a: &Value, b: &Value) -> bool {
+fn bit_eq(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Num(x), Value::Num(y)) => x.to_bits() == y.to_bits(),
         (Value::Bool(x), Value::Bool(y)) => x == y,

@@ -33,14 +33,12 @@ mod chunk;
 mod disasm;
 mod exec;
 mod lower;
-mod opt;
 mod verify;
 
 pub use chunk::{Chunk, Instr, Program};
 pub use disasm::disassemble;
 pub use exec::Vm;
 pub use lower::{compile, UNROLL_BODY_BUDGET, UNROLL_MAX_TRIPS};
-pub use opt::optimize;
 pub use verify::{render_errors, verify, verify_against, VerifyError};
 
 /// Ill-formed bytecode fixtures for verifier testing. Programs cannot be
@@ -707,54 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn optimizer_preserves_shape_fuel_and_verification() {
-        let iface = parse(KITCHEN_SINK).unwrap();
-        let program = compile(&iface).unwrap();
-        let opt = optimize(&program);
-        verify(&opt).expect("optimized output verifies");
-        assert_eq!(program.chunks.len(), opt.chunks.len());
-        for (before, after) in program.chunks.iter().zip(&opt.chunks) {
-            assert_eq!(before.code.len(), after.code.len(), "fn {}", before.name);
-            assert_eq!(before.fuel, after.fuel, "fn {}", before.name);
-        }
-        // The passes must actually do something on this corpus, and the
-        // changed artifact must not collide with the original in caches.
-        assert_ne!(disassemble(&program), disassemble(&opt));
-        assert_ne!(program.fingerprint(), opt.fingerprint());
-        // Idempotent fixpoint: optimizing again changes nothing.
-        let again = optimize(&opt);
-        assert_eq!(disassemble(&opt), disassemble(&again));
-        assert_eq!(opt.fingerprint(), again.fingerprint());
-    }
-
-    #[test]
-    fn optimized_engine_matches_the_oracle_bit_for_bit() {
-        let iface = parse(KITCHEN_SINK).unwrap();
-        let program = optimize(&compile(&iface).unwrap());
-        let mut machine = Vm::new(&program);
-        for (func, args) in [
-            ("fact", vec![Value::Num(6.0)]),
-            ("looped", vec![Value::Num(9.0)]),
-            ("unrolled", vec![]),
-            ("logic", vec![Value::Num(3.0), Value::Num(4.0)]),
-            ("logic", vec![Value::Num(-3.0), Value::Num(4.0)]),
-            ("sampled", vec![Value::Num(2.0)]),
-        ] {
-            let ecvs = assignment(true, 1.25);
-            for fuel in (0..12).map(|i| (1u64 << i) - 1).chain([10_000_000]) {
-                let cfg = EvalConfig {
-                    fuel,
-                    mode: ExecMode::TreeWalk,
-                    ..EvalConfig::default()
-                };
-                let oracle = interp::eval_with_assignment(&iface, func, &args, &ecvs, &cfg);
-                let got = machine.run(func, &args, &ecvs, &cfg);
-                assert_eq!(oracle, got, "{func} diverged at fuel {fuel}");
-            }
-        }
-    }
-
-    #[test]
     fn verify_against_agrees_on_interfaces_with_specs() {
         use crate::interface::InputSpec;
         let mut iface = parse(
@@ -772,7 +722,5 @@ mod tests {
         iface.set_input_spec("cost", InputSpec::new().range("n", 1.0, 8.0));
         let program = compile(&iface).unwrap();
         verify_against(&iface, &program).expect("bytecode and AST analyses agree");
-        let opt = optimize(&program);
-        verify_against(&iface, &opt).expect("optimized bytecode still agrees");
     }
 }

@@ -8,10 +8,9 @@
 //! tree-walk oracle (fuel streams cover the code, temps are never read
 //! before assignment, loop counters are only ever advanced by the loop
 //! forms that own them). This module *proves* those invariants per chunk
-//! instead of trusting them, so a lowering bug — or a bad optimization
-//! pass — is rejected at compile time with a stable diagnostic rather
-//! than surfacing as a panic or a silent divergence deep inside a
-//! Monte-Carlo run.
+//! instead of trusting them, so a lowering bug is rejected at compile
+//! time with a stable diagnostic rather than surfacing as a panic or a
+//! silent divergence deep inside a Monte-Carlo run.
 //!
 //! Three layers, in increasing cost:
 //!
@@ -374,7 +373,7 @@ fn instr_reads(instr: &Instr) -> Vec<u32> {
 
 /// Registers an instruction writes. `ForTest` writes `var` only on the
 /// fall-through edge; callers that need edge precision special-case it.
-pub(super) fn writes_of(instr: &Instr) -> Vec<u32> {
+fn writes_of(instr: &Instr) -> Vec<u32> {
     match instr {
         Instr::Const { dst, .. }
         | Instr::Copy { dst, .. }
@@ -394,7 +393,7 @@ pub(super) fn writes_of(instr: &Instr) -> Vec<u32> {
 }
 
 /// The argument window `(base, n)` of a call-like instruction.
-pub(super) fn arg_window(instr: &Instr) -> Option<(u32, u32)> {
+fn arg_window(instr: &Instr) -> Option<(u32, u32)> {
     match instr {
         Instr::Builtin { base, n, .. }
         | Instr::CallBuiltin { base, n, .. }
@@ -429,7 +428,7 @@ fn can_fall_through(instr: &Instr) -> bool {
 }
 
 /// Successor pcs of the instruction at `pc` (bounds already verified).
-pub(super) fn successors(instr: &Instr, pc: usize) -> Vec<usize> {
+fn successors(instr: &Instr, pc: usize) -> Vec<usize> {
     let mut out = Vec::with_capacity(2);
     if can_fall_through(instr) {
         out.push(pc + 1);
@@ -446,7 +445,7 @@ pub(super) fn successors(instr: &Instr, pc: usize) -> Vec<usize> {
 
 /// A dense register bitset.
 #[derive(Clone, PartialEq, Eq)]
-pub(super) struct Defs(Vec<u64>);
+struct Defs(Vec<u64>);
 
 impl Defs {
     fn empty(n_regs: u32) -> Defs {
@@ -455,7 +454,7 @@ impl Defs {
     fn set(&mut self, r: u32) {
         self.0[r as usize / 64] |= 1 << (r % 64);
     }
-    pub(super) fn get(&self, r: u32) -> bool {
+    fn get(&self, r: u32) -> bool {
         self.0[r as usize / 64] & (1 << (r % 64)) != 0
     }
     /// Intersects in place; reports whether anything changed.
@@ -473,7 +472,7 @@ impl Defs {
 /// Forward must-defined analysis: `ins[pc]` is the set of registers
 /// definitely written on **every** path reaching `pc` (`None` =
 /// unreachable). Parameters `0..arity` enter defined.
-pub(super) fn must_defined(chunk: &Chunk) -> Vec<Option<Defs>> {
+fn must_defined(chunk: &Chunk) -> Vec<Option<Defs>> {
     let len = chunk.code.len();
     let mut ins: Vec<Option<Defs>> = vec![None; len];
     let mut entry = Defs::empty(chunk.n_regs);
@@ -529,7 +528,7 @@ const MAX_ABS_DEPTH: usize = 16;
 
 /// One abstract register cell.
 #[derive(Debug, Clone, PartialEq)]
-pub(super) enum Cell {
+enum Cell {
     /// Not written on any path seen so far.
     Bot,
     /// Written, with this abstract value.
@@ -560,7 +559,7 @@ impl Cell {
 /// Abstractly executes chunk `fid` on `args`, returning the join of every
 /// reachable `Return` value, or `None` when the analysis loses precision
 /// (a `Top` return, excessive recursion, or no reachable return at all).
-pub(super) fn absint_chunk(
+fn absint_chunk(
     program: &Program,
     fid: u32,
     args: Vec<Cell>,

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use ei_core::analysis::interval::{abstract_eval, AbsValue, Interval};
 use ei_core::ast::{Expr, FnDef, Stmt};
 use ei_core::dist::EnergyDist;
-use ei_core::ecv::{DistSpec, EcvDecl, EcvEnv};
+use ei_core::ecv::{DistSpec, EcvDecl, EcvEnv, EcvValue};
 use ei_core::interface::Interface;
 use ei_core::interp::{evaluate, evaluate_energy, EvalConfig};
 use ei_core::parser::{parse, parse_expr};
@@ -190,6 +190,50 @@ proptest! {
             }
             DistSpec::Normal { .. } => prop_assert!(v.is_finite()),
         }
+    }
+
+    /// `EcvEnv::sample_slots` is `sample_assignment` without the map: for
+    /// every distribution kind, pinned or not, it yields the same values in
+    /// name order and leaves the RNG in the same state.
+    #[test]
+    fn slot_sampler_matches_sample_assignment(
+        x in arb_lit(),
+        extra in proptest::collection::vec(arb_dist_spec(), 0..5),
+        pins in proptest::collection::vec(0u32..3, 9),
+        offset in 0usize..10,
+        seed: u64,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut dists = vec![
+            DistSpec::Bernoulli { p: (x / 1000.0).min(1.0) },
+            DistSpec::Discrete { outcomes: vec![(x, 0.25), (x + 1.0, 0.75)] },
+            DistSpec::Uniform { lo: x, hi: x + 1.0 },
+            DistSpec::Normal { mean: x, std_dev: 1.0 },
+            DistSpec::Point { value: x },
+        ];
+        dists.extend(extra);
+        let mut env = EcvEnv::new();
+        for (i, dist) in dists.into_iter().enumerate() {
+            // Distinct names whose order differs from declaration order.
+            let name = format!("v{}", (i * 7 + offset) % 10);
+            env.declare(name.clone(), EcvDecl { dist, doc: String::new() });
+            match pins[i] {
+                1 => env.pin_bool(name, i % 2 == 0),
+                2 => env.pin_num(name, x + i as f64),
+                _ => {}
+            }
+        }
+        let mut by_map = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut by_slots = by_map.clone();
+        // Stale contents must not survive a draw.
+        let mut slots = vec![EcvValue::Num(-1.0); 12];
+        for _ in 0..3 {
+            let assignment = env.sample_assignment(&mut by_map);
+            env.sample_slots(&mut by_slots, &mut slots);
+            prop_assert_eq!(assignment.values().copied().collect::<Vec<_>>(), slots.clone());
+            prop_assert_eq!(env.assignment_from_slots(&slots), assignment);
+        }
+        prop_assert_eq!(by_map.random::<u64>(), by_slots.random::<u64>());
     }
 }
 

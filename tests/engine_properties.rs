@@ -11,13 +11,18 @@ use proptest::prelude::*;
 
 use ei_core::ast::{BinOp, Builtin, Expr, FnDef, Stmt};
 use ei_core::cache::{fingerprint_interface, EvalCache};
-use ei_core::ecv::{DistSpec, EcvDecl};
+use ei_core::dist::EnergyDist;
+use ei_core::ecv::{DistSpec, EcvDecl, EcvEnv};
 use ei_core::interface::Interface;
 use ei_core::interp::{
-    evaluate_batch, evaluate_energy, expected_energy, monte_carlo, monte_carlo_par, EvalConfig,
-    MC_CHUNK,
+    eval_with_assignment, evaluate_batch, evaluate_energy, expected_energy, mc_chunk_seed,
+    monte_carlo, monte_carlo_par, EvalConfig, ExecMode, MC_CHUNK,
 };
+use ei_core::parser::parse;
+use ei_core::units::{Calibration, Energy};
 use ei_core::value::Value;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 // ---------------------------------------------------------------------------
 // Generators
@@ -325,5 +330,136 @@ fn parallel_error_matches_serial_error() {
     for threads in [1, 2, 4, 8] {
         let par = monte_carlo_par(&iface, "f", &[], &env, 2000, 3, threads, &cfg).unwrap_err();
         assert_eq!(format!("{serial:?}"), format!("{par:?}"));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Assignment-memo scope
+// ---------------------------------------------------------------------------
+
+/// Bernoulli-only, so a 384-sample run repeats a handful of assignments
+/// across every chunk: the compiled samplers execute each one once per
+/// call (per worker) and replay it afterwards. `f` divides by zero on the
+/// assignment `a && b && c`.
+const MEMO_SRC: &str = r#"interface memo {
+    unit tick;
+    ecv a: bernoulli(0.3);
+    ecv b: bernoulli(0.3);
+    ecv c: bernoulli(0.1);
+    fn f(x) {
+        let d = if a && b && c { 0 } else { 1 };
+        let extra = if b { 3 tick } else { 1 tick };
+        return x * 1 mJ / d + (if a { 2 mJ } else { 5 mJ }) + extra;
+    }
+}"#;
+
+const MEMO_N: usize = 6 * MC_CHUNK;
+
+/// Per-sample reference: every sample drawn with `sample_assignment` from
+/// its chunk's stream and evaluated alone on the tree-walk.
+fn memo_reference(
+    iface: &Interface,
+    env: &EcvEnv,
+    seed: u64,
+    cfg: &EvalConfig,
+) -> Vec<ei_core::Result<Energy>> {
+    let tree = EvalConfig {
+        mode: ExecMode::TreeWalk,
+        ..cfg.clone()
+    };
+    let mut out = Vec::new();
+    for chunk in 0..MEMO_N.div_ceil(MC_CHUNK) {
+        let mut rng = StdRng::seed_from_u64(mc_chunk_seed(seed, chunk as u64));
+        for _ in 0..MC_CHUNK {
+            let assignment = env.sample_assignment(&mut rng);
+            out.push(
+                eval_with_assignment(iface, "f", &[Value::Num(2.0)], &assignment, &tree)
+                    .and_then(|v| v.into_energy()?.calibrate(&cfg.calibration)),
+            );
+        }
+    }
+    out
+}
+
+/// Every Monte-Carlo entry point and engine, in the order the test reports.
+fn memo_runs(
+    iface: &Interface,
+    env: &EcvEnv,
+    seed: u64,
+    cfg: &EvalConfig,
+) -> Vec<(String, ei_core::Result<EnergyDist>)> {
+    let args = [Value::Num(2.0)];
+    let mut runs = Vec::new();
+    for mode in [ExecMode::Compiled, ExecMode::TreeWalk] {
+        let cfg = EvalConfig {
+            mode,
+            ..cfg.clone()
+        };
+        runs.push((
+            format!("{mode:?} serial"),
+            monte_carlo(iface, "f", &args, env, MEMO_N, seed, &cfg),
+        ));
+        for threads in [1, 2, 8] {
+            runs.push((
+                format!("{mode:?} x{threads}"),
+                monte_carlo_par(iface, "f", &args, env, MEMO_N, seed, threads, &cfg),
+            ));
+        }
+    }
+    runs
+}
+
+/// A memoized run reports the same first error as the memo-free tree-walk,
+/// serially and at every thread count, when the failing assignment first
+/// appears chunks after the memo has filled.
+#[test]
+fn memo_reports_the_first_error_across_chunks() {
+    let iface = parse(MEMO_SRC).unwrap();
+    let env = iface.ecv_env();
+    let cfg = EvalConfig {
+        calibration: Calibration::from_pairs([("tick", Energy::microjoules(1.0))]),
+        ..EvalConfig::default()
+    };
+    // The first seed whose first failing sample lies in chunk 2 or later.
+    let seed = (0..10_000u64)
+        .find(|&seed| {
+            let first = memo_reference(&iface, &env, seed, &cfg)
+                .iter()
+                .position(Result::is_err);
+            first.is_some_and(|i| i >= 2 * MC_CHUNK)
+        })
+        .expect("some seed fails late");
+    for (label, run) in memo_runs(&iface, &env, seed, &cfg) {
+        assert_eq!(
+            format!("{:?}", run),
+            format!("{:?}", Err::<(), _>(ei_core::Error::DivisionByZero)),
+            "{label}"
+        );
+    }
+}
+
+/// On the success path every sample of every run is bit-identical to
+/// evaluating that sample alone.
+#[test]
+fn memo_samples_match_per_sample_evaluation() {
+    let iface = parse(MEMO_SRC).unwrap();
+    let mut env = iface.ecv_env();
+    env.pin_bool("c", false);
+    let cfg = EvalConfig {
+        calibration: Calibration::from_pairs([("tick", Energy::microjoules(1.0))]),
+        ..EvalConfig::default()
+    };
+    let expect: Vec<u64> = memo_reference(&iface, &env, 17, &cfg)
+        .into_iter()
+        .map(|e| e.unwrap().as_joules().to_bits())
+        .collect();
+    for (label, run) in memo_runs(&iface, &env, 17, &cfg) {
+        let got: Vec<u64> = run
+            .unwrap()
+            .to_samples()
+            .iter()
+            .map(|e| e.as_joules().to_bits())
+            .collect();
+        assert_eq!(got, expect, "{label}");
     }
 }

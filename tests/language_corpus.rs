@@ -192,3 +192,49 @@ fn corpus_worst_case_bounds_are_sound() {
         }
     }
 }
+
+/// Every EIL file the repository ships, and every bundled interface after a
+/// print/parse round trip, parses within the parser's nesting limit.
+#[test]
+fn shipped_interfaces_parse_within_the_nesting_limit() {
+    use energy_clarity::core::parser::parse_all;
+    use energy_clarity::hw::{cpu, gpu, interfaces as hw, nic};
+    use energy_clarity::llm::{batch_interface, interface as llm, model};
+    use energy_clarity::sched::{cluster, fuzz, provision};
+
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut dirs = vec![root.join("examples/eil"), root.join("tests/fixtures")];
+    let mut files = 0;
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "eil") {
+                let src = std::fs::read_to_string(&path).unwrap();
+                parse_all(&src).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                files += 1;
+            }
+        }
+    }
+    assert!(files >= 20, "only {files} .eil files found");
+
+    let (big, little) = cpu::big_little();
+    let bundled = vec![
+        hw::gpu_interface(&gpu::rtx4090()),
+        hw::gpu_interface_dvfs(&gpu::rtx4090()),
+        hw::cpu_interface(&big),
+        hw::cpu_interface(&little),
+        hw::nic_interface("datacenter", &nic::datacenter_nic()),
+        llm::gpt2_interface(&model::gpt2_small()),
+        llm::gpt2_interface(&model::gpt2_medium()),
+        batch_interface::gpt2_batch_interface(&model::gpt2_medium()),
+        cluster::compute_node().interface(),
+        fuzz::default_campaign().interface(),
+        provision::bursty_server_interface(),
+    ];
+    for iface in bundled {
+        let printed = print_interface(&iface);
+        parse(&printed).unwrap_or_else(|e| panic!("{}: {e}", iface.name));
+    }
+}

@@ -3,13 +3,11 @@
 //! The VM (`ei_core::vm`) claims *bit-identical* behaviour with the
 //! interpreter — same `Value`s, same error variants and messages, same
 //! fuel exhaustion boundaries, and byte-identical telemetry traces — on
-//! every program, not just the goldens. The claim covers both bytecode
-//! variants: the raw lowering and the verifier-gated optimized form, so
-//! every property here is a *triple* differential — tree-walk oracle ≡
-//! unoptimized chunks ≡ optimized chunks. These properties generate
+//! every program, not just the goldens. These properties generate
 //! loop/branch/unit/ECV-rich interfaces from the shared corpus
-//! (`crates/core/tests/common/generators.rs`, the PR 4 generators) and
-//! run all three engine variants over them.
+//! (`crates/core/tests/common/generators.rs`) and run both engines over
+//! them. The Monte-Carlo property also checks the compiled sampler's
+//! assignment memo: the tree-walk oracle executes every sample.
 //!
 //! Comparisons are on `Debug` renderings of the full `Result`, so a
 //! divergence in an error variant or message fails just as loudly as a
@@ -25,6 +23,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use ei_core::ecv::{EcvEnv, EcvValue};
+use ei_core::interface::InputSpec;
 use ei_core::interp::{
     eval_with_assignment, evaluate_batch, monte_carlo, monte_carlo_par, EvalConfig, ExecMode,
 };
@@ -56,25 +55,6 @@ fn config(iface: &ei_core::interface::Interface, mode: ExecMode) -> EvalConfig {
     }
 }
 
-/// The three engine variants under test: the tree-walk oracle, the raw
-/// bytecode lowering, and the optimized bytecode.
-const VARIANTS: [(ExecMode, bool, &str); 3] = [
-    (ExecMode::TreeWalk, true, "tree-walk"),
-    (ExecMode::Compiled, false, "vm (unoptimized)"),
-    (ExecMode::Compiled, true, "vm (optimized)"),
-];
-
-fn variant_config(
-    iface: &ei_core::interface::Interface,
-    mode: ExecMode,
-    optimize: bool,
-) -> EvalConfig {
-    EvalConfig {
-        optimize,
-        ..config(iface, mode)
-    }
-}
-
 /// One concrete assignment for the `hot`/`mix` ECVs of
 /// [`arb_vm_interface`] programs.
 fn assignment(hot: bool, mix: f64) -> BTreeMap<String, EcvValue> {
@@ -102,20 +82,17 @@ proptest! {
                 &iface, func, &[Value::Num(z)], &ecvs,
                 &config(&iface, ExecMode::TreeWalk),
             );
-            for (mode, optimize, label) in [VARIANTS[1], VARIANTS[2]] {
-                let machine = eval_with_assignment(
-                    &iface, func, &[Value::Num(z)], &ecvs,
-                    &variant_config(&iface, mode, optimize),
-                );
-                prop_assert_eq!(
-                    format!("{oracle:?}"),
-                    format!("{machine:?}"),
-                    "{} diverges on `{}`:\n{}",
-                    label,
-                    func,
-                    ei_core::vm::disassemble(&ei_core::vm::compile(&iface).unwrap()),
-                );
-            }
+            let machine = eval_with_assignment(
+                &iface, func, &[Value::Num(z)], &ecvs,
+                &config(&iface, ExecMode::Compiled),
+            );
+            prop_assert_eq!(
+                format!("{oracle:?}"),
+                format!("{machine:?}"),
+                "vm diverges on `{}`:\n{}",
+                func,
+                ei_core::vm::disassemble(&ei_core::vm::compile(&iface).unwrap()),
+            );
         }
     }
 
@@ -135,18 +112,14 @@ proptest! {
         for fuel in budgets {
             let tree = EvalConfig { fuel, ..config(&iface, ExecMode::TreeWalk) };
             let oracle = eval_with_assignment(&iface, "entry", &[Value::Num(z)], &ecvs, &tree);
-            for (mode, optimize, label) in [VARIANTS[1], VARIANTS[2]] {
-                let comp = EvalConfig { fuel, ..variant_config(&iface, mode, optimize) };
-                let machine =
-                    eval_with_assignment(&iface, "entry", &[Value::Num(z)], &ecvs, &comp);
-                prop_assert_eq!(
-                    format!("{oracle:?}"),
-                    format!("{machine:?}"),
-                    "{} diverges at fuel budget {}",
-                    label,
-                    fuel
-                );
-            }
+            let comp = EvalConfig { fuel, ..config(&iface, ExecMode::Compiled) };
+            let machine = eval_with_assignment(&iface, "entry", &[Value::Num(z)], &ecvs, &comp);
+            prop_assert_eq!(
+                format!("{oracle:?}"),
+                format!("{machine:?}"),
+                "vm diverges at fuel budget {}",
+                fuel
+            );
         }
     }
 
@@ -161,8 +134,8 @@ proptest! {
         let args = [Value::Num(z)];
         let n = 192; // 3 chunks: exercises chunk seeding on both engines
 
-        let run = |mode: ExecMode, optimize: bool, threads: usize| {
-            let cfg = variant_config(&iface, mode, optimize);
+        let run = |mode: ExecMode, threads: usize| {
+            let cfg = config(&iface, mode);
             let session = telemetry::session();
             let dist = if threads == 0 {
                 monte_carlo(&iface, "entry", &args, &env, n, 7, &cfg)
@@ -172,35 +145,29 @@ proptest! {
             (dist, session.finish())
         };
 
-        let (oracle, oracle_trace) = run(ExecMode::TreeWalk, true, 0);
-        for (mode, optimize, label) in [VARIANTS[1], VARIANTS[2]] {
-            let (compiled, compiled_trace) = run(mode, optimize, 0);
-            match (&oracle, &compiled) {
-                (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(a, b, "serial MC distributions diverge ({})", label)
-                }
-                (a, b) => prop_assert_eq!(
-                    format!("{a:?}"),
-                    format!("{b:?}"),
-                    "serial MC errors diverge ({})",
-                    label
-                ),
-            }
-            prop_assert_eq!(
-                oracle_trace.to_json_pretty(),
-                compiled_trace.to_json_pretty(),
-                "serial traces reveal the engine ({})",
-                label
-            );
+        let (oracle, oracle_trace) = run(ExecMode::TreeWalk, 0);
+        let (compiled, compiled_trace) = run(ExecMode::Compiled, 0);
+        match (&oracle, &compiled) {
+            (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "serial MC distributions diverge"),
+            (a, b) => prop_assert_eq!(
+                format!("{a:?}"),
+                format!("{b:?}"),
+                "serial MC errors diverge"
+            ),
         }
+        prop_assert_eq!(
+            oracle_trace.to_json_pretty(),
+            compiled_trace.to_json_pretty(),
+            "serial traces reveal the engine"
+        );
 
         // Parallel scheduling only has a deterministic error to report
         // when there is no error at all, so the thread-count comparison
         // runs on the success path (as in telemetry_differential.rs).
         if let Ok(expect) = &oracle {
-            for (mode, optimize, label) in VARIANTS {
+            for (mode, label) in [(ExecMode::TreeWalk, "tree-walk"), (ExecMode::Compiled, "vm")] {
                 for threads in [1, 8] {
-                    let (dist, trace) = run(mode, optimize, threads);
+                    let (dist, trace) = run(mode, threads);
                     let dist = dist.expect("serial run succeeded");
                     prop_assert_eq!(
                         expect, &dist,
@@ -222,14 +189,12 @@ proptest! {
     fn batch_matches_oracle(iface in arb_vm_interface(), zs in proptest::collection::vec(0.0f64..2000.0, 1..6)) {
         let env = EcvEnv::from_decls(&iface.ecvs);
         let batch: Vec<Vec<Value>> = zs.iter().map(|z| vec![Value::Num(*z)]).collect();
-        let run = |mode: ExecMode, optimize: bool| {
-            let cfg = variant_config(&iface, mode, optimize);
-            format!("{:?}", evaluate_batch(&iface, "entry", &batch, &env, 11, &cfg))
+        let run = |mode: ExecMode| {
+            format!("{:?}", evaluate_batch(&iface, "entry", &batch, &env, 11, &config(&iface, mode)))
         };
-        let oracle = run(ExecMode::TreeWalk, true);
-        prop_assert_eq!(&oracle, &run(ExecMode::Compiled, false), "unoptimized batch diverges");
-        prop_assert_eq!(&oracle, &run(ExecMode::Compiled, true), "optimized batch diverges");
-        prop_assert_eq!(&oracle, &run(ExecMode::Auto, true), "Auto batch diverges");
+        let oracle = run(ExecMode::TreeWalk);
+        prop_assert_eq!(&oracle, &run(ExecMode::Compiled), "compiled batch diverges");
+        prop_assert_eq!(&oracle, &run(ExecMode::Auto), "Auto batch diverges");
     }
 
     /// The pure-numeric corpus (deep builtin/operator nesting over raw
@@ -241,33 +206,33 @@ proptest! {
             let oracle = eval_with_assignment(
                 &iface, "f", &[Value::Num(x)], &ecvs, &config(&iface, ExecMode::TreeWalk),
             );
-            for (mode, optimize, label) in [VARIANTS[1], VARIANTS[2]] {
-                let machine = eval_with_assignment(
-                    &iface, "f", &[Value::Num(x)], &ecvs,
-                    &variant_config(&iface, mode, optimize),
-                );
-                prop_assert_eq!(
-                    format!("{oracle:?}"),
-                    format!("{machine:?}"),
-                    "{} diverges at x = {:?}", label, x
-                );
-            }
+            let machine = eval_with_assignment(
+                &iface, "f", &[Value::Num(x)], &ecvs, &config(&iface, ExecMode::Compiled),
+            );
+            prop_assert_eq!(
+                format!("{oracle:?}"),
+                format!("{machine:?}"),
+                "vm diverges at x = {:?}", x
+            );
         }
     }
 
-    /// The optimizer's output must satisfy the same static contract as
-    /// the lowering's: every optimized program re-verifies against its
-    /// source interface, for every generated program.
+    /// The lowering's static contract: every generated program's bytecode
+    /// verifies against its source interface, interval agreement included
+    /// (`compile` itself runs only the structural and dataflow layers, and
+    /// agreement fires only for functions with a declared input spec).
     #[test]
-    fn optimized_programs_reverify(iface in arb_vm_interface()) {
+    fn compiled_programs_verify(mut iface in arb_vm_interface()) {
+        for (func, param) in [("entry", "z"), ("work", "x"), ("top", "y")] {
+            iface.set_input_spec(func, InputSpec::new().range(param, 0.0, 2000.0));
+        }
         let program = ei_core::vm::compile(&iface).expect("generated interface compiles");
-        let optimized = ei_core::vm::optimize(&program);
-        if let Err(errs) = ei_core::vm::verify_against(&iface, &optimized) {
+        if let Err(errs) = ei_core::vm::verify_against(&iface, &program) {
             prop_assert!(
                 false,
-                "optimized program fails verification:\n{}\n{}",
+                "compiled program fails verification:\n{}\n{}",
                 ei_core::vm::render_errors(&errs),
-                ei_core::vm::disassemble(&optimized),
+                ei_core::vm::disassemble(&program),
             );
         }
     }

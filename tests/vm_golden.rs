@@ -112,16 +112,6 @@ fn disassembly_matches_golden() {
             &format!("{stem}.disasm"),
             &ei_core::vm::disassemble(&program),
         );
-        // The same program after the verified dataflow passes: const/copy
-        // propagation, CSE, and dead-register elimination land as a
-        // reviewable diff against the raw lowering above.
-        let optimized = ei_core::vm::optimize(&program);
-        ei_core::vm::verify_against(&iface, &optimized)
-            .unwrap_or_else(|e| panic!("{stem}: {}", ei_core::vm::render_errors(&e)));
-        check_golden(
-            &format!("{stem}.opt.disasm"),
-            &ei_core::vm::disassemble(&optimized),
-        );
     }
 }
 
