@@ -56,7 +56,7 @@ pub mod snapshot;
 
 pub use hist::{Histogram, HistogramSnap, HistogramSpec, BYTES, ENERGY_J, FUEL};
 pub use sink::{
-    counter_add, current_path, disabled_session, enabled, flush, observe, observe_ticks, session,
-    span, span_indexed, Session, Span, SpanKind,
+    adopt, counter_add, current_path, disabled_session, enabled, flush, observe, observe_ticks,
+    session, session_tag, span, span_indexed, Session, SessionTag, Span, SpanKind,
 };
 pub use snapshot::{Snapshot, SpanSnap};

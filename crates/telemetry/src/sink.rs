@@ -5,12 +5,12 @@
 //!
 //! Every instrumented thread owns a private [`LocalSink`] (a
 //! `thread_local!` cell): counters, histograms, and span aggregates are
-//! recorded there with no atomics, no locks, and no allocation on the
+//! recorded there with no locks and no allocation on the
 //! counter/histogram hot path. The only synchronization on a record is
-//! one `Relaxed` load of the global enabled flag — when the sink is
-//! disabled (the default), every record call is that load plus a
-//! predictable branch, and with the `collect` feature off the calls
-//! compile to nothing at all.
+//! a `Relaxed` load of the global enabled flag (and, while a session is
+//! open, of the session id) — when the sink is disabled (the default),
+//! every record call is that load plus a predictable branch, and with
+//! the `collect` feature off the calls compile to nothing at all.
 //!
 //! Local state drains into the global aggregate on [`flush`] and on
 //! thread exit (the `thread_local` destructor). The destructor alone is
@@ -39,14 +39,23 @@
 //!
 //! # Sessions
 //!
-//! The sink is process-global, so concurrent test threads would bleed
+//! The aggregate is process-global, so concurrent test threads would bleed
 //! events into each other's traces. A [`Session`] serializes access: it
 //! holds a global session lock, resets all state (bumping an epoch that
 //! invalidates every thread's stale local data), enables collection, and
 //! disables it again on drop. Tests and `repro_all` both collect through
 //! sessions.
+//!
+//! Collection is also scoped to the session's own threads. Each session's
+//! epoch doubles as its id, and a thread records only while its
+//! thread-local tag equals the live id. [`session`] tags the opening
+//! thread; workers that the session's code spawns are handed the tag
+//! explicitly ([`session_tag`] on the spawner, [`adopt`] on the worker).
+//! Any other thread sees [`enabled`] as `false` and records nothing, so
+//! an unrelated thread that happens to run (and flush) while a session
+//! is open cannot leak into its snapshot.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -154,13 +163,17 @@ fn global() -> MutexGuard<'static, Agg> {
     GLOBAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// True when the sink is collecting. One `Relaxed` load; every record
-/// call bails immediately on `false`.
+/// True when the sink is collecting for this thread: a session is open
+/// and this thread belongs to it. One `Relaxed` load while no session is
+/// open; every record call bails immediately on `false`.
 #[inline(always)]
 pub fn enabled() -> bool {
     #[cfg(feature = "collect")]
     {
         ENABLED.load(Ordering::Relaxed)
+            && TAG
+                .try_with(Cell::get)
+                .is_ok_and(|tag| tag == EPOCH.load(Ordering::Relaxed))
     }
     #[cfg(not(feature = "collect"))]
     {
@@ -247,6 +260,25 @@ impl Drop for LocalSink {
 
 thread_local! {
     static SINK: RefCell<LocalSink> = const { RefCell::new(LocalSink::new()) };
+    /// Id (epoch) of the session this thread records for; 0 for none.
+    static TAG: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The session a thread records for, handed from a session's thread to
+/// the workers it spawns (see [`adopt`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SessionTag(u64);
+
+/// This thread's session tag, for handing to worker threads.
+pub fn session_tag() -> SessionTag {
+    SessionTag(TAG.try_with(Cell::get).unwrap_or(0))
+}
+
+/// Makes this thread record for the session `tag` came from. Worker
+/// threads spawned under a session call this first; a tag from a session
+/// that has since ended enables nothing.
+pub fn adopt(tag: SessionTag) {
+    let _ = TAG.try_with(|t| t.set(tag.0));
 }
 
 /// Runs `f` on this thread's sink (no-op during thread teardown races).
@@ -475,18 +507,21 @@ pub struct Session {
     _guard: MutexGuard<'static, ()>,
 }
 
-fn reset() {
-    EPOCH.fetch_add(1, Ordering::SeqCst);
+/// Invalidates all recorded state and returns the new epoch.
+fn reset() -> u64 {
+    let epoch = EPOCH.fetch_add(1, Ordering::SeqCst) + 1;
     global().clear();
+    epoch
 }
 
-/// Starts a collecting session (resets state, enables the sink).
+/// Starts a collecting session (resets state, enables the sink for the
+/// calling thread).
 ///
-/// Concurrent sessions serialize on a global lock; instrumented threads
-/// outside any session record nothing.
+/// Concurrent sessions serialize on a global lock; threads that neither
+/// opened the session nor [`adopt`]ed its tag record nothing.
 pub fn session() -> Session {
     let guard = SESSION.lock().unwrap_or_else(PoisonError::into_inner);
-    reset();
+    adopt(SessionTag(reset()));
     #[cfg(feature = "collect")]
     ENABLED.store(true, Ordering::SeqCst);
     Session { _guard: guard }
@@ -496,7 +531,7 @@ pub fn session() -> Session {
 /// that must run with telemetry off while excluding concurrent sessions.
 pub fn disabled_session() -> Session {
     let guard = SESSION.lock().unwrap_or_else(PoisonError::into_inner);
-    reset();
+    let _ = reset();
     Session { _guard: guard }
 }
 
@@ -603,10 +638,12 @@ mod tests {
         let parent = {
             let _sp = span(SpanKind::Mc, "f");
             let parent = current_path();
+            let tag = session_tag();
             std::thread::scope(|scope| {
                 for chunk in 0..4u64 {
                     let parent = &parent;
                     scope.spawn(move || {
+                        adopt(tag);
                         {
                             let mut sp = span_indexed(parent, SpanKind::McChunk, "f", chunk);
                             sp.add_items(chunk + 1);
@@ -631,6 +668,37 @@ mod tests {
         assert_eq!(chunk.count, 4);
         assert_eq!((chunk.first_seq, chunk.last_seq), (0, 3));
         assert_eq!(chunk.items, 1 + 2 + 3 + 4);
+    }
+
+    #[cfg(feature = "collect")]
+    #[test]
+    fn strangers_do_not_leak_into_a_session() {
+        let s = session();
+        counter_add("t.own", 1);
+        // A thread that did not adopt the session's tag records and
+        // flushes (explicitly and on exit) while the session is open.
+        std::thread::spawn(|| {
+            assert!(!enabled());
+            counter_add("t.stranger", 1);
+            observe_ticks("t.stranger_h", &FUEL, 3);
+            drop(span(SpanKind::Experiment, "stranger"));
+            flush();
+        })
+        .join()
+        .unwrap();
+        // A tag from an ended session enables nothing either.
+        let stale = SessionTag(session_tag().0 - 1);
+        std::thread::spawn(move || {
+            adopt(stale);
+            counter_add("t.stale", 1);
+        })
+        .join()
+        .unwrap();
+        let snap = s.finish();
+        assert_eq!(snap.counters.len(), 1);
+        assert_eq!(snap.counters.get("t.own"), Some(&1));
+        assert!(snap.histograms.is_empty());
+        assert!(snap.spans.is_empty());
     }
 
     #[cfg(feature = "collect")]

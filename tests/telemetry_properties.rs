@@ -85,9 +85,12 @@ proptest! {
     ) {
         let s = session();
         let collecting = ei_telemetry::enabled();
+        let tag = ei_telemetry::session_tag();
         std::thread::scope(|scope| {
             for adds in &per_thread {
                 scope.spawn(move || {
+                    // Workers record only for a session they adopted.
+                    ei_telemetry::adopt(tag);
                     for &n in adds {
                         counter_add("test.prop_total", n);
                     }
