@@ -255,7 +255,7 @@ impl<'a> Eval<'a> {
             }
             Expr::Unary(op, inner) => {
                 let v = self.expr(inner, locals, depth)?;
-                eval_unary(*op, v)
+                eval_unary(*op, &v)
             }
             Expr::Binary(op, a, b) => {
                 // Short-circuit logical operators before evaluating `b`.
@@ -278,7 +278,7 @@ impl<'a> Eval<'a> {
                 }
                 let av = self.expr(a, locals, depth)?;
                 let bv = self.expr(b, locals, depth)?;
-                eval_binary(*op, av, bv)
+                eval_binary(*op, &av, &bv)
             }
             Expr::Call(name, args) => {
                 let mut vals = Vec::with_capacity(args.len());
@@ -307,7 +307,7 @@ impl<'a> Eval<'a> {
 }
 
 /// Evaluates a unary operation.
-pub(crate) fn eval_unary(op: UnOp, v: Value) -> Result<Value> {
+pub(crate) fn eval_unary(op: UnOp, v: &Value) -> Result<Value> {
     match op {
         UnOp::Neg => match v {
             Value::Num(n) => Ok(Value::Num(-n)),
@@ -326,15 +326,43 @@ pub(crate) fn eval_unary(op: UnOp, v: Value) -> Result<Value> {
 /// plain numeric arithmetic; comparisons work on numbers, energies (concrete
 /// Joule parts compared after requiring concreteness), and booleans for
 /// equality.
-pub(crate) fn eval_binary(op: BinOp, a: Value, b: Value) -> Result<Value> {
+///
+/// Both engines call this one kernel. Number-by-number arithmetic and
+/// orderings, the bulk of what real interfaces compute, return inline;
+/// every other case, errors included, goes to [`eval_binary_general`]. The
+/// fast path must equal the general path bit for bit (checked by the
+/// `kernel_oracle` tests).
+#[inline]
+pub(crate) fn eval_binary(op: BinOp, a: &Value, b: &Value) -> Result<Value> {
+    if let (Value::Num(x), Value::Num(y)) = (a, b) {
+        let (x, y) = (*x, *y);
+        match op {
+            BinOp::Add => return Ok(Value::Num(x + y)),
+            BinOp::Sub => return Ok(Value::Num(x - y)),
+            BinOp::Mul => return Ok(Value::Num(x * y)),
+            BinOp::Div if y != 0.0 => return Ok(Value::Num(x / y)),
+            BinOp::Lt => return Ok(Value::Bool(x < y)),
+            BinOp::Le => return Ok(Value::Bool(x <= y)),
+            BinOp::Gt => return Ok(Value::Bool(x > y)),
+            BinOp::Ge => return Ok(Value::Bool(x >= y)),
+            _ => {}
+        }
+    }
+    eval_binary_general(op, a, b)
+}
+
+/// Every case of [`eval_binary`] outside its numeric fast path.
+#[cold]
+#[inline(never)]
+fn eval_binary_general(op: BinOp, a: &Value, b: &Value) -> Result<Value> {
     use BinOp::*;
     match op {
         Add | Sub => match (a, b) {
             (Value::Num(x), Value::Num(y)) => Ok(Value::Num(if op == Add { x + y } else { x - y })),
             (Value::Energy(x), Value::Energy(y)) => Ok(Value::Energy(if op == Add {
-                x.plus(&y)
+                x.plus(y)
             } else {
-                x.minus(&y)
+                x.minus(y)
             })),
             (a, b) => Err(Error::Type {
                 expected: "matching operand types for +/-",
@@ -344,7 +372,7 @@ pub(crate) fn eval_binary(op: BinOp, a: Value, b: Value) -> Result<Value> {
         Mul => match (a, b) {
             (Value::Num(x), Value::Num(y)) => Ok(Value::Num(x * y)),
             (Value::Energy(e), Value::Num(k)) | (Value::Num(k), Value::Energy(e)) => {
-                Ok(Value::Energy(e.scaled(k)))
+                Ok(Value::Energy(e.scaled(*k)))
             }
             (a, b) => Err(Error::Type {
                 expected: "number*number or energy*number",
@@ -353,14 +381,14 @@ pub(crate) fn eval_binary(op: BinOp, a: Value, b: Value) -> Result<Value> {
         },
         Div => match (a, b) {
             (Value::Num(x), Value::Num(y)) => {
-                if y == 0.0 {
+                if *y == 0.0 {
                     Err(Error::DivisionByZero)
                 } else {
                     Ok(Value::Num(x / y))
                 }
             }
             (Value::Energy(e), Value::Num(k)) => {
-                if k == 0.0 {
+                if *k == 0.0 {
                     Err(Error::DivisionByZero)
                 } else {
                     Ok(Value::Energy(e.scaled(1.0 / k)))
@@ -396,7 +424,7 @@ pub(crate) fn eval_binary(op: BinOp, a: Value, b: Value) -> Result<Value> {
             }
         }
         Eq | Ne => {
-            let eq = values_equal(&a, &b)?;
+            let eq = values_equal(a, b)?;
             Ok(Value::Bool(if op == Eq { eq } else { !eq }))
         }
         Lt | Le | Gt | Ge => {
@@ -426,9 +454,9 @@ fn values_equal(a: &Value, b: &Value) -> Result<bool> {
     }
 }
 
-fn comparable_pair(a: Value, b: Value) -> Result<(f64, f64)> {
+fn comparable_pair(a: &Value, b: &Value) -> Result<(f64, f64)> {
     match (a, b) {
-        (Value::Num(x), Value::Num(y)) => Ok((x, y)),
+        (Value::Num(x), Value::Num(y)) => Ok((*x, *y)),
         (Value::Energy(x), Value::Energy(y)) => {
             let xe = x.to_energy().map_err(|_| Error::Type {
                 expected: "concrete energies for comparison",
@@ -1029,6 +1057,9 @@ pub fn expected_energy(
 }
 
 #[cfg(test)]
+mod kernel_oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::ExternDecl;
@@ -1441,12 +1472,12 @@ mod tests {
     #[test]
     fn division_rules() {
         assert!(matches!(
-            eval_binary(BinOp::Div, Value::Num(1.0), Value::Num(0.0)),
+            eval_binary(BinOp::Div, &Value::Num(1.0), &Value::Num(0.0)),
             Err(Error::DivisionByZero)
         ));
-        let r = eval_binary(BinOp::Div, Value::joules(6.0), Value::joules(2.0)).unwrap();
+        let r = eval_binary(BinOp::Div, &Value::joules(6.0), &Value::joules(2.0)).unwrap();
         assert_eq!(r, Value::Num(3.0));
-        let r = eval_binary(BinOp::Div, Value::joules(6.0), Value::Num(2.0)).unwrap();
+        let r = eval_binary(BinOp::Div, &Value::joules(6.0), &Value::Num(2.0)).unwrap();
         assert_eq!(r, Value::joules(3.0));
     }
 

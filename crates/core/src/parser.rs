@@ -65,8 +65,11 @@ pub const KEYWORDS: &[&str] = &[
     "false",
 ];
 
-/// Deepest nesting of expressions, unary operators and blocks the parser
-/// accepts. Interfaces cross trust boundaries, so a hostile file must get a
+/// Deepest nesting the parser accepts, counted two ways against the same
+/// limit: the parser's own recursion (expressions, parentheses, unary
+/// operators, blocks, `else if`), and the depth of the tree it builds,
+/// where each operator of a chain such as `a + b + c` adds one level.
+/// Interfaces cross trust boundaries, so a hostile file must get a
 /// structured [`Error::Parse`] rather than exhaust the host stack: in the
 /// parser itself, or in a pass that later recurses over the AST. Real
 /// interfaces nest a few levels deep; at this limit parsing, linting and
@@ -98,10 +101,14 @@ pub fn parse_interface(src: &str) -> Result<Interface> {
 pub fn parse_expr(src: &str) -> Result<Expr> {
     let toks = lex(src)?;
     let mut p = Parser::new(toks);
-    let (e, _) = p.expr()?;
+    let (e, _, _) = p.expr()?;
     p.expect_eof()?;
     Ok(e)
 }
+
+/// A parsed expression, its span mirror, and its height: the number of
+/// AST levels below its root (0 for a leaf).
+type Parsed = (Expr, ExprSpans, usize);
 
 struct Parser {
     toks: Vec<Spanned>,
@@ -124,12 +131,29 @@ impl Parser {
     /// Runs `f` one nesting level deeper, failing past [`MAX_NESTING`].
     fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
         if self.depth >= MAX_NESTING {
-            return Err(self.err(format!("nesting exceeds the limit of {MAX_NESTING} levels")));
+            return Err(self.too_deep());
         }
         self.depth += 1;
         let out = f(self);
         self.depth -= 1;
         out
+    }
+
+    /// The height of a new node over children at most `child` high,
+    /// failing when the node would reach deeper than [`MAX_NESTING`] below
+    /// the levels open around it. Checked before each node is built, so no
+    /// tree taller than the limit ever exists, not even one being dropped.
+    fn grow(&self, child: usize) -> Result<usize> {
+        let h = child + 1;
+        if self.depth + h > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(h)
+    }
+
+    #[cold]
+    fn too_deep(&self) -> Error {
+        self.err(format!("nesting exceeds the limit of {MAX_NESTING} levels"))
     }
 
     fn peek(&self) -> Option<&Tok> {
@@ -389,7 +413,7 @@ impl Parser {
         if self.eat_kw("let") {
             let name = self.ident()?;
             self.expect(&Tok::Assign, "`=`")?;
-            let (e, es) = self.expr()?;
+            let (e, es, _) = self.expr()?;
             self.expect(&Tok::Semi, "`;`")?;
             return Ok((
                 Stmt::Let(name, e),
@@ -401,7 +425,7 @@ impl Parser {
             ));
         }
         if self.eat_kw("return") {
-            let (e, es) = self.expr()?;
+            let (e, es, _) = self.expr()?;
             self.expect(&Tok::Semi, "`;`")?;
             return Ok((
                 Stmt::Return(e),
@@ -413,13 +437,13 @@ impl Parser {
             ));
         }
         if self.eat_kw("if") {
-            let (cond, cond_s) = self.expr()?;
+            let (cond, cond_s, _) = self.expr()?;
             let (then_b, then_s) = self.block()?;
             let (else_b, else_s) = if self.eat_kw("else") {
                 if let Some(Tok::Ident(k)) = self.peek() {
                     if k == "if" {
-                        // `else if ...` sugar.
-                        let (s, ss) = self.stmt()?;
+                        // `else if ...` sugar: one level deeper per link.
+                        let (s, ss) = self.nested(Self::stmt)?;
                         (vec![s], vec![ss])
                     } else {
                         return Err(self.err("expected `{` or `if` after `else`"));
@@ -442,9 +466,9 @@ impl Parser {
         if self.eat_kw("for") {
             let var = self.ident()?;
             self.expect_kw("in")?;
-            let (from, from_s) = self.expr()?;
+            let (from, from_s, _) = self.expr()?;
             self.expect(&Tok::DotDot, "`..`")?;
-            let (to, to_s) = self.expr()?;
+            let (to, to_s, _) = self.expr()?;
             let (body, body_s) = self.block()?;
             return Ok((
                 Stmt::For {
@@ -461,7 +485,7 @@ impl Parser {
             ));
         }
         if self.eat_kw("while") {
-            let (cond, cond_s) = self.expr()?;
+            let (cond, cond_s, _) = self.expr()?;
             self.expect_kw("bound")?;
             let bound = self.number()?;
             if bound < 0.0 || bound.fract() != 0.0 {
@@ -484,7 +508,7 @@ impl Parser {
         // Assignment: `ident = expr;`.
         let name = self.ident()?;
         self.expect(&Tok::Assign, "`=` (assignment)")?;
-        let (e, es) = self.expr()?;
+        let (e, es, _) = self.expr()?;
         self.expect(&Tok::Semi, "`;`")?;
         Ok((
             Stmt::Assign(name, e),
@@ -496,40 +520,42 @@ impl Parser {
         ))
     }
 
-    fn expr(&mut self) -> Result<(Expr, ExprSpans)> {
+    fn expr(&mut self) -> Result<Parsed> {
         self.nested(Self::or_expr)
     }
 
-    fn or_expr(&mut self) -> Result<(Expr, ExprSpans)> {
-        let (mut e, mut es) = self.and_expr()?;
+    fn or_expr(&mut self) -> Result<Parsed> {
+        let (mut e, mut es, mut h) = self.and_expr()?;
         loop {
             let sp = self.span_here();
             if !self.eat(&Tok::OrOr) {
                 break;
             }
-            let (rhs, rs) = self.and_expr()?;
+            let (rhs, rs, rh) = self.and_expr()?;
+            h = self.grow(h.max(rh))?;
             e = Expr::bin(BinOp::Or, e, rhs);
             es = ExprSpans::node(sp, vec![es, rs]);
         }
-        Ok((e, es))
+        Ok((e, es, h))
     }
 
-    fn and_expr(&mut self) -> Result<(Expr, ExprSpans)> {
-        let (mut e, mut es) = self.cmp_expr()?;
+    fn and_expr(&mut self) -> Result<Parsed> {
+        let (mut e, mut es, mut h) = self.cmp_expr()?;
         loop {
             let sp = self.span_here();
             if !self.eat(&Tok::AndAnd) {
                 break;
             }
-            let (rhs, rs) = self.cmp_expr()?;
+            let (rhs, rs, rh) = self.cmp_expr()?;
+            h = self.grow(h.max(rh))?;
             e = Expr::bin(BinOp::And, e, rhs);
             es = ExprSpans::node(sp, vec![es, rs]);
         }
-        Ok((e, es))
+        Ok((e, es, h))
     }
 
-    fn cmp_expr(&mut self) -> Result<(Expr, ExprSpans)> {
-        let (e, es) = self.add_expr()?;
+    fn cmp_expr(&mut self) -> Result<Parsed> {
+        let (e, es, h) = self.add_expr()?;
         let op = match self.peek() {
             Some(Tok::Eq) => BinOp::Eq,
             Some(Tok::Ne) => BinOp::Ne,
@@ -537,16 +563,17 @@ impl Parser {
             Some(Tok::Le) => BinOp::Le,
             Some(Tok::Gt) => BinOp::Gt,
             Some(Tok::Ge) => BinOp::Ge,
-            _ => return Ok((e, es)),
+            _ => return Ok((e, es, h)),
         };
         let sp = self.span_here();
         self.pos += 1;
-        let (rhs, rs) = self.add_expr()?;
-        Ok((Expr::bin(op, e, rhs), ExprSpans::node(sp, vec![es, rs])))
+        let (rhs, rs, rh) = self.add_expr()?;
+        let h = self.grow(h.max(rh))?;
+        Ok((Expr::bin(op, e, rhs), ExprSpans::node(sp, vec![es, rs]), h))
     }
 
-    fn add_expr(&mut self) -> Result<(Expr, ExprSpans)> {
-        let (mut e, mut es) = self.mul_expr()?;
+    fn add_expr(&mut self) -> Result<Parsed> {
+        let (mut e, mut es, mut h) = self.mul_expr()?;
         loop {
             let op = match self.peek() {
                 Some(Tok::Plus) => BinOp::Add,
@@ -555,15 +582,16 @@ impl Parser {
             };
             let sp = self.span_here();
             self.pos += 1;
-            let (rhs, rs) = self.mul_expr()?;
+            let (rhs, rs, rh) = self.mul_expr()?;
+            h = self.grow(h.max(rh))?;
             e = Expr::bin(op, e, rhs);
             es = ExprSpans::node(sp, vec![es, rs]);
         }
-        Ok((e, es))
+        Ok((e, es, h))
     }
 
-    fn mul_expr(&mut self) -> Result<(Expr, ExprSpans)> {
-        let (mut e, mut es) = self.unary_expr()?;
+    fn mul_expr(&mut self) -> Result<Parsed> {
+        let (mut e, mut es, mut h) = self.unary_expr()?;
         loop {
             let op = match self.peek() {
                 Some(Tok::Star) => BinOp::Mul,
@@ -573,53 +601,57 @@ impl Parser {
             };
             let sp = self.span_here();
             self.pos += 1;
-            let (rhs, rs) = self.unary_expr()?;
+            let (rhs, rs, rh) = self.unary_expr()?;
+            h = self.grow(h.max(rh))?;
             e = Expr::bin(op, e, rhs);
             es = ExprSpans::node(sp, vec![es, rs]);
         }
-        Ok((e, es))
+        Ok((e, es, h))
     }
 
-    fn unary_expr(&mut self) -> Result<(Expr, ExprSpans)> {
+    fn unary_expr(&mut self) -> Result<Parsed> {
         let sp = self.span_here();
         if self.eat(&Tok::Minus) {
-            let (inner, is) = self.nested(Self::unary_expr)?;
+            let (inner, is, ih) = self.nested(Self::unary_expr)?;
             // Fold negation into literals so `-1` round-trips as `Num(-1)`;
             // the folded literal keeps the minus token's position.
             return Ok(match inner {
-                Expr::Num(n) => (Expr::Num(-n), ExprSpans::leaf(sp)),
-                Expr::Joules(j) => (Expr::Joules(-j), ExprSpans::leaf(sp)),
+                Expr::Num(n) => (Expr::Num(-n), ExprSpans::leaf(sp), 0),
+                Expr::Joules(j) => (Expr::Joules(-j), ExprSpans::leaf(sp), 0),
                 other => (
                     Expr::Unary(UnOp::Neg, Box::new(other)),
                     ExprSpans::node(sp, vec![is]),
+                    self.grow(ih)?,
                 ),
             });
         }
         if self.eat(&Tok::Bang) {
-            let (inner, is) = self.nested(Self::unary_expr)?;
+            let (inner, is, ih) = self.nested(Self::unary_expr)?;
             return Ok((
                 Expr::Unary(UnOp::Not, Box::new(inner)),
                 ExprSpans::node(sp, vec![is]),
+                self.grow(ih)?,
             ));
         }
         self.postfix_expr()
     }
 
-    fn postfix_expr(&mut self) -> Result<(Expr, ExprSpans)> {
-        let (mut e, mut es) = self.primary()?;
+    fn postfix_expr(&mut self) -> Result<Parsed> {
+        let (mut e, mut es, mut h) = self.primary()?;
         loop {
             let sp = self.span_here();
             if !self.eat(&Tok::Dot) {
                 break;
             }
             let field = self.ident()?;
+            h = self.grow(h)?;
             e = Expr::Field(Box::new(e), field);
             es = ExprSpans::node(sp, vec![es]);
         }
-        Ok((e, es))
+        Ok((e, es, h))
     }
 
-    fn primary(&mut self) -> Result<(Expr, ExprSpans)> {
+    fn primary(&mut self) -> Result<Parsed> {
         let sp = self.span_here();
         match self.peek().cloned() {
             Some(Tok::Num(n)) => {
@@ -629,22 +661,22 @@ impl Parser {
                     let suffix = suffix.clone();
                     if let Some((_, scale)) = ENERGY_SUFFIXES.iter().find(|(s, _)| *s == suffix) {
                         self.pos += 1;
-                        return Ok((Expr::Joules(n * scale), ExprSpans::leaf(sp)));
+                        return Ok((Expr::Joules(n * scale), ExprSpans::leaf(sp), 0));
                     }
                     if self.units.contains(&suffix) {
                         self.pos += 1;
-                        return Ok((Expr::Unit(suffix, n), ExprSpans::leaf(sp)));
+                        return Ok((Expr::Unit(suffix, n), ExprSpans::leaf(sp), 0));
                     }
                 }
-                Ok((Expr::Num(n), ExprSpans::leaf(sp)))
+                Ok((Expr::Num(n), ExprSpans::leaf(sp), 0))
             }
             Some(Tok::Ident(id)) if id == "true" => {
                 self.pos += 1;
-                Ok((Expr::Bool(true), ExprSpans::leaf(sp)))
+                Ok((Expr::Bool(true), ExprSpans::leaf(sp), 0))
             }
             Some(Tok::Ident(id)) if id == "false" => {
                 self.pos += 1;
-                Ok((Expr::Bool(false), ExprSpans::leaf(sp)))
+                Ok((Expr::Bool(false), ExprSpans::leaf(sp), 0))
             }
             Some(Tok::Ident(id)) if id == "ecv" => {
                 // `ecv(name)` — explicit ECV read.
@@ -652,22 +684,23 @@ impl Parser {
                 self.expect(&Tok::LParen, "`(`")?;
                 let name = self.ident()?;
                 self.expect(&Tok::RParen, "`)`")?;
-                Ok((Expr::Ecv(name), ExprSpans::leaf(sp)))
+                Ok((Expr::Ecv(name), ExprSpans::leaf(sp), 0))
             }
             Some(Tok::Ident(id)) if id == "if" => {
                 // If-expression: `if c { a } else { b }`.
                 self.pos += 1;
-                let (c, cs) = self.expr()?;
+                let (c, cs, ch) = self.expr()?;
                 self.expect(&Tok::LBrace, "`{`")?;
-                let (t, ts) = self.expr()?;
+                let (t, ts, th) = self.expr()?;
                 self.expect(&Tok::RBrace, "`}`")?;
                 self.expect_kw("else")?;
                 self.expect(&Tok::LBrace, "`{`")?;
-                let (f, fs) = self.expr()?;
+                let (f, fs, fh) = self.expr()?;
                 self.expect(&Tok::RBrace, "`}`")?;
                 Ok((
                     Expr::IfExpr(Box::new(c), Box::new(t), Box::new(f)),
                     ExprSpans::node(sp, vec![cs, ts, fs]),
+                    self.grow(ch.max(th).max(fh))?,
                 ))
             }
             Some(Tok::Ident(id)) if !KEYWORDS.contains(&id.as_str()) => {
@@ -676,11 +709,13 @@ impl Parser {
                     self.pos += 1;
                     let mut args = Vec::new();
                     let mut arg_spans = Vec::new();
+                    let mut ah = 0;
                     if !self.eat(&Tok::RParen) {
                         loop {
-                            let (a, asp) = self.expr()?;
+                            let (a, asp, h) = self.expr()?;
                             args.push(a);
                             arg_spans.push(asp);
+                            ah = ah.max(h);
                             if self.eat(&Tok::Comma) {
                                 continue;
                             }
@@ -688,19 +723,21 @@ impl Parser {
                             break;
                         }
                     }
+                    let h = self.grow(ah)?;
+                    let spans = ExprSpans::node(sp, arg_spans);
                     if let Some(b) = Builtin::from_name(&id) {
-                        return Ok((Expr::BuiltinCall(b, args), ExprSpans::node(sp, arg_spans)));
+                        return Ok((Expr::BuiltinCall(b, args), spans, h));
                     }
-                    return Ok((Expr::Call(id, args), ExprSpans::node(sp, arg_spans)));
+                    return Ok((Expr::Call(id, args), spans, h));
                 }
-                Ok((Expr::Var(id), ExprSpans::leaf(sp)))
+                Ok((Expr::Var(id), ExprSpans::leaf(sp), 0))
             }
             Some(Tok::LParen) => {
                 self.pos += 1;
-                let (e, es) = self.expr()?;
+                let (e, es, h) = self.expr()?;
                 self.expect(&Tok::RParen, "`)`")?;
                 // Parentheses are not AST nodes; pass the inner mirror up.
-                Ok((e, es))
+                Ok((e, es, h))
             }
             _ => Err(self.err("expected expression")),
         }
@@ -819,7 +856,7 @@ pub fn parse_all(src: &str) -> Result<Vec<Interface>> {
 mod tests {
     use super::*;
     use crate::ecv::EcvEnv;
-    use crate::interp::{evaluate_energy, EvalConfig};
+    use crate::interp::{evaluate, evaluate_energy, EvalConfig, ExecMode};
     use crate::value::Value;
 
     const FIG1: &str = r#"
@@ -1189,9 +1226,34 @@ mod tests {
     /// overflow, and legitimate nesting up to the limit still parses.
     #[test]
     fn nesting_is_bounded() {
+        // A thread with the default 2 MiB test stack, whatever
+        // `RUST_MIN_STACK` says.
+        let on_2mib_stack = std::thread::Builder::new().stack_size(2 << 20);
+        on_2mib_stack
+            .spawn(nesting_is_bounded_on_this_stack)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    fn nesting_is_bounded_on_this_stack() {
         let body = |b: String| format!("interface x {{ fn f(n) {{ {b} }} }}");
         let parens = |d: usize| body(format!("return {}1{};", "(".repeat(d), ")".repeat(d)));
-        for depth in [10_000, 100_000] {
+        // Chains build one tree level per operator without parser recursion.
+        let chain = |op: &str, links: usize| {
+            body(format!(
+                "return (n{}) * 1 J;",
+                format!(" {op} 1").repeat(links)
+            ))
+        };
+        let fields = |links: usize| body(format!("return n{};", ".a".repeat(links)));
+        let else_ifs = |links: usize| {
+            body(format!(
+                "if n > 0 {{ return 1 J; }}{} return 0 J;",
+                " else if n > 0 { return 1 J; }".repeat(links)
+            ))
+        };
+        for depth in [10_000, 30_000, 100_000] {
             for src in [
                 parens(depth),
                 body(format!("return {}n;", "-".repeat(depth))),
@@ -1201,6 +1263,12 @@ mod tests {
                     "if n > 0 { ".repeat(depth),
                     " }".repeat(depth)
                 )),
+                chain("+", depth),
+                chain("*", depth),
+                chain("&&", depth),
+                chain("||", depth),
+                fields(depth),
+                else_ifs(depth),
             ] {
                 match parse(&src) {
                     Err(Error::Parse { msg, .. }) => {
@@ -1213,5 +1281,32 @@ mod tests {
         // The function body and the return expression take two levels.
         parse(&parens(MAX_NESTING - 2)).unwrap();
         assert!(parse(&parens(MAX_NESTING - 1)).is_err());
+        parse(&fields(MAX_NESTING - 2)).unwrap();
+        assert!(parse(&fields(MAX_NESTING - 1)).is_err());
+        // The last link's block and its `return` expression take two
+        // levels above the link itself.
+        parse(&else_ifs(MAX_NESTING - 3)).unwrap();
+        assert!(parse(&else_ifs(MAX_NESTING - 2)).is_err());
+        // The parentheses take a third level, and each `+` one more. At the
+        // boundary the chain still lints and evaluates on both engines.
+        let at_limit = parse(&chain("+", MAX_NESTING - 3)).unwrap();
+        assert!(parse(&chain("+", MAX_NESTING - 2)).is_err());
+        assert!(crate::sema::check(&at_limit).is_empty());
+        let want = Value::joules(MAX_NESTING as f64 - 2.0);
+        for mode in [ExecMode::TreeWalk, ExecMode::Compiled] {
+            let config = EvalConfig {
+                mode,
+                ..EvalConfig::default()
+            };
+            let got = evaluate(
+                &at_limit,
+                "f",
+                &[Value::Num(1.0)],
+                &EcvEnv::new(),
+                0,
+                &config,
+            );
+            assert_eq!(got.unwrap(), want, "{mode:?}");
+        }
     }
 }

@@ -358,6 +358,12 @@ impl EnergyVec {
 
     /// Returns the component-wise sum of two vectors.
     pub fn plus(&self, other: &EnergyVec) -> EnergyVec {
+        // Pure Joules on both sides: no map to clone or walk. A zero-amount
+        // unit entry keeps a vector on the map path, so the entry survives
+        // and `==` sees the same maps as before.
+        if self.abstracts.is_empty() && other.abstracts.is_empty() {
+            return EnergyVec::from_joules(self.joules + other.joules);
+        }
         let mut out = self.clone();
         out.add_assign(other);
         out
@@ -365,6 +371,9 @@ impl EnergyVec {
 
     /// Returns the component-wise difference `self - other`.
     pub fn minus(&self, other: &EnergyVec) -> EnergyVec {
+        if self.abstracts.is_empty() && other.abstracts.is_empty() {
+            return EnergyVec::from_joules(self.joules - other.joules);
+        }
         let mut out = self.clone();
         out.joules -= other.joules;
         for (k, v) in &other.abstracts {
@@ -375,6 +384,9 @@ impl EnergyVec {
 
     /// Scales every component by `k`.
     pub fn scaled(&self, k: f64) -> EnergyVec {
+        if self.abstracts.is_empty() {
+            return EnergyVec::from_joules(self.joules * k);
+        }
         EnergyVec {
             joules: self.joules * k,
             abstracts: self

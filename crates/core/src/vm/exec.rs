@@ -17,7 +17,10 @@
 //! `tests/vm_errors.rs` enforce this). Arithmetic therefore *calls the
 //! interpreter's own* `eval_unary`/`eval_binary`/`eval_builtin` rather
 //! than reimplementing them — the VM removes dispatch overhead, not
-//! semantics.
+//! semantics. Those kernels take their operands by reference: `Bin`,
+//! `Neg` and `Not` borrow their registers in place (`rd_ref`), so an
+//! arithmetic instruction clones no operand. The tree-walk instead clones
+//! every variable it reads out of its name-keyed locals.
 
 use std::collections::BTreeMap;
 
@@ -222,18 +225,18 @@ impl<'p> Vm<'p> {
                     self.wr(base, *dst, v);
                 }
                 Instr::Neg { dst, src } => {
-                    let v = self.rd(chunk, base, *src)?;
+                    let v = self.rd_ref(chunk, base, *src)?;
                     let r = interp::eval_unary(UnOp::Neg, v)?;
                     self.wr(base, *dst, r);
                 }
                 Instr::Not { dst, src } => {
-                    let v = self.rd(chunk, base, *src)?;
+                    let v = self.rd_ref(chunk, base, *src)?;
                     let r = interp::eval_unary(UnOp::Not, v)?;
                     self.wr(base, *dst, r);
                 }
                 Instr::Bin { op, dst, a, b } => {
-                    let va = self.rd(chunk, base, *a)?;
-                    let vb = self.rd(chunk, base, *b)?;
+                    let va = self.rd_ref(chunk, base, *a)?;
+                    let vb = self.rd_ref(chunk, base, *b)?;
                     let r = interp::eval_binary(*op, va, vb)?;
                     self.wr(base, *dst, r);
                 }

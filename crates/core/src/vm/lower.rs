@@ -368,7 +368,7 @@ impl<'a> FnLower<'a> {
             Expr::Ecv(_) => None,
             Expr::Unary(op, inner) => {
                 let (v, c) = self.try_fold(inner)?;
-                let r = interp::eval_unary(*op, v).ok()?;
+                let r = interp::eval_unary(*op, &v).ok()?;
                 Some((r, 1 + c))
             }
             Expr::Binary(BinOp::And, a, b) => {
@@ -398,7 +398,7 @@ impl<'a> FnLower<'a> {
             Expr::Binary(op, a, b) => {
                 let (av, ca) = self.try_fold(a)?;
                 let (bv, cb) = self.try_fold(b)?;
-                let r = interp::eval_binary(*op, av, bv).ok()?;
+                let r = interp::eval_binary(*op, &av, &bv).ok()?;
                 Some((r, 1 + ca + cb))
             }
             Expr::Call(_, _) => None,
