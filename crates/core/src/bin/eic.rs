@@ -18,8 +18,13 @@
 //! json|text`, and repeatable `--cal unit=joules` entries so rule E002 can
 //! see the deployment's calibration. The file may contain several
 //! interfaces; cross-interface rules (W003) check them against each other.
+//!
+//! A command collects its output, then writes it through one locked stdout
+//! handle. A reader that closes the pipe early (`eic fmt big.eil | head -1`)
+//! ends the run quietly.
 
 use std::collections::BTreeMap;
+use std::io::{self, Write as _};
 use std::process::ExitCode;
 
 use ei_core::analysis::cert::certify;
@@ -36,7 +41,20 @@ use ei_core::value::Value;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let mut out = String::new();
+    let outcome = run(&args, &mut out);
+    // Written even after a failure: `lint` reports before it fails.
+    let mut stdout = io::stdout().lock();
+    if let Err(e) = stdout
+        .write_all(out.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        if e.kind() != io::ErrorKind::BrokenPipe {
+            eprintln!("eic: writing output: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+    match outcome {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("eic: {msg}");
@@ -45,31 +63,28 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+/// Runs one command, appending what it prints to `out`.
+fn run(args: &[String], out: &mut String) -> Result<(), String> {
     let Some(cmd) = args.first() else {
         return Err(usage());
     };
     match cmd.as_str() {
         "check" => {
             let iface = load(args.get(1).ok_or_else(usage)?)?;
-            println!(
-                "ok: interface `{}` — {} function(s), {} ECV(s), {} unit(s), {} extern(s)",
+            out.push_str(&format!(
+                "ok: interface `{}` — {} function(s), {} ECV(s), {} unit(s), {} extern(s)\n",
                 iface.name,
                 iface.fns.len(),
                 iface.ecvs.len(),
                 iface.units.len(),
                 iface.externs.len()
-            );
+            ));
             Ok(())
         }
-        "lint" => {
-            let report = lint(&args[1..])?;
-            print!("{report}");
-            Ok(())
-        }
+        "lint" => lint(&args[1..], out),
         "fmt" => {
             let iface = load(args.get(1).ok_or_else(usage)?)?;
-            print!("{}", print_interface(&iface));
+            out.push_str(&print_interface(&iface));
             Ok(())
         }
         "eval" => {
@@ -89,13 +104,14 @@ fn run(args: &[String]) -> Result<(), String> {
                 }
                 Err(e) => return Err(e.to_string()),
             };
-            println!("expected : {}", dist.mean());
-            println!("min..max : {} .. {}", dist.min(), dist.max());
-            println!(
-                "p5..p95  : {} .. {}",
+            out.push_str(&format!(
+                "expected : {}\nmin..max : {} .. {}\np5..p95  : {} .. {}\n",
+                dist.mean(),
+                dist.min(),
+                dist.max(),
                 dist.quantile(0.05),
                 dist.quantile(0.95)
-            );
+            ));
             Ok(())
         }
         "paths" => {
@@ -109,8 +125,8 @@ fn run(args: &[String]) -> Result<(), String> {
             };
             let profile = enumerate_paths(&iface, func, &vals, &env, 4096, &cfg)
                 .map_err(|e| e.to_string())?;
-            print!("{}", profile.render());
-            println!("expected: {}", profile.expected_energy());
+            out.push_str(&profile.render());
+            out.push_str(&format!("expected: {}\n", profile.expected_energy()));
             Ok(())
         }
         "bound" => {
@@ -133,12 +149,15 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             let bound = worst_case(&iface, func, &spec, &Calibration::empty())
                 .map_err(|e| e.to_string())?;
-            println!("worst-case bound: {} .. {}", bound.lower, bound.upper);
+            out.push_str(&format!(
+                "worst-case bound: {} .. {}\n",
+                bound.lower, bound.upper
+            ));
             Ok(())
         }
         "certify" => {
-            let json = run_certify(&args[1..])?;
-            println!("{json}");
+            out.push_str(&run_certify(&args[1..])?);
+            out.push('\n');
             Ok(())
         }
         _ => Err(usage()),
@@ -146,10 +165,10 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 /// Runs the semantic analyzer over every interface in the given `.eil`
-/// file and renders the diagnostics. Flags and the file path may appear
-/// in any order. Returns `Err` (→ exit failure) when any error fires,
-/// or — under `--deny warnings` — when any warning fires.
-fn lint(raw: &[String]) -> Result<String, String> {
+/// file and appends the diagnostics to `out`. Flags and the file path may
+/// appear in any order. Returns `Err` (→ exit failure) when any error
+/// fires, or — under `--deny warnings` — when any warning fires.
+fn lint(raw: &[String], out: &mut String) -> Result<(), String> {
     let mut deny_warnings = false;
     let mut json = false;
     let mut cal = Calibration::empty();
@@ -205,16 +224,16 @@ fn lint(raw: &[String]) -> Result<String, String> {
     } else {
         diags.render_text()
     };
+    // The diagnostics reach stdout on failure too.
+    out.push_str(&report);
     if diags.error_count() > 0 || (deny_warnings && diags.warning_count() > 0) {
-        // Print the report before failing so the diagnostics reach stdout.
-        print!("{report}");
         return Err(format!(
             "lint failed: {} error(s), {} warning(s)",
             diags.error_count(),
             diags.warning_count()
         ));
     }
-    Ok(report)
+    Ok(())
 }
 
 /// `eic certify <file.eil> [--fn f] [k=lo..hi...] [--cal unit=J]`.

@@ -14,14 +14,18 @@
 //!
 //! # Keying and invalidation
 //!
-//! Keys are 64-bit FNV-1a fingerprints of the *content* of every input: the
-//! interface's full serialized tree (functions, ECV declarations, units,
-//! externs), the argument values (floats hashed by bit pattern), the ECV
-//! environment (declarations and pins), and the evaluation config (fuel,
-//! depth, calibration entries). Mutating any of these — editing a function,
-//! pinning an ECV, changing a calibration — changes the fingerprint, so
-//! stale entries are never returned; they simply stop being reachable.
-//! There is no explicit invalidation API beyond [`EvalCache::clear`].
+//! Keys are 64-bit hashes of the *content* of every input, built with one
+//! fixed word mixer: the interface's [fingerprint](fingerprint_interface)
+//! (a direct walk of its functions, ECV declarations, units, externs and
+//! input specs, with no intermediate tree), the argument values (floats
+//! hashed by bit pattern), the ECV environment (declarations and pins), and
+//! the evaluation config (fuel, depth, calibration entries). Mutating any of
+//! these — editing a function, pinning an ECV, changing a calibration —
+//! changes the key, so stale entries are never returned; they simply stop
+//! being reachable. There is no explicit invalidation API beyond
+//! [`EvalCache::clear`]. Keys are recomputed on every lookup and never
+//! persisted; the walk allocates nothing, so a hit costs a few microseconds
+//! for the Fig. 1 interface.
 //!
 //! Only successful results are cached: errors are returned but recomputed on
 //! the next call, so a transient failure cannot poison the cache.
@@ -39,145 +43,354 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use ei_telemetry as telemetry;
-use serde::Serialize;
 use telemetry::SpanKind;
 
+use crate::ast::{Expr, ExternDecl, FnDef, Stmt};
 use crate::compose::{link, link_closure, Registry};
-use crate::ecv::EcvEnv;
+use crate::ecv::{DistSpec, EcvDecl, EcvEnv, EcvValue};
 use crate::error::Result;
-use crate::interface::Interface;
+use crate::interface::{FeatureRange, InputSpec, Interface};
 use crate::interp::{evaluate_energy, expected_energy, EvalConfig};
 use crate::units::Energy;
 use crate::value::Value;
 use crate::vm;
 
-/// 64-bit FNV-1a running hash.
-#[derive(Clone, Copy)]
-struct Fnv(u64);
+/// The one hasher behind interface fingerprints and cache keys: a fixed
+/// word mixer over a 64-bit state.
+///
+/// Each input word `w` steps the state `s` as
+///
+/// ```text
+/// x  = (s ^ w) * 0x9e37_79b9_7f4a_7c15
+/// s' = x ^ (x >> 32)
+/// ```
+///
+/// Xor with `w`, multiplication by an odd constant and a right xor-shift are
+/// each bijections of `u64`, so for every `w` the step is a bijection of the
+/// state, and for a fixed state it is injective in `w`: two inputs that
+/// differ in exactly one word always finish differently. [`Mixer::finish`]
+/// applies the SplitMix64 finalizer (also a bijection) so every input bit
+/// reaches every output bit. The algorithm is fixed here rather than taken
+/// from `std` because certificates carry its output; a test pins it.
+struct Mixer(u64);
 
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
+impl Mixer {
+    fn new() -> Mixer {
+        Mixer(0xcbf2_9ce4_8422_2325)
     }
 
-    fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+    fn word(&mut self, w: u64) {
+        let x = (self.0 ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = x ^ (x >> 32);
+    }
+
+    fn len(&mut self, n: usize) {
+        self.word(n as u64);
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.word(v.to_bits());
+    }
+
+    /// Length-prefixed, then the bytes packed little-endian into words
+    /// (the last one zero-padded).
+    fn str(&mut self, s: &str) {
+        self.len(s.len());
+        for chunk in s.as_bytes().chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(w));
         }
     }
 
-    fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.write_bytes(s.as_bytes());
-    }
-}
-
-/// Hashes a serialized tree. Object fields arrive in a deterministic order
-/// (the serializer emits them in declaration order), so equal trees hash
-/// equal.
-fn hash_tree(h: &mut Fnv, v: &serde::Value) {
-    use serde::Value as V;
-    match v {
-        V::Null => h.write_u64(0),
-        V::Bool(b) => {
-            h.write_u64(1);
-            h.write_u64(*b as u64);
-        }
-        V::I64(n) => {
-            h.write_u64(2);
-            h.write_u64(*n as u64);
-        }
-        V::U64(n) => {
-            h.write_u64(3);
-            h.write_u64(*n);
-        }
-        V::F64(n) => {
-            h.write_u64(4);
-            h.write_f64(*n);
-        }
-        V::Str(s) => {
-            h.write_u64(5);
-            h.write_str(s);
-        }
-        V::Array(items) => {
-            h.write_u64(6);
-            h.write_u64(items.len() as u64);
-            for item in items {
-                hash_tree(h, item);
-            }
-        }
-        V::Object(fields) => {
-            h.write_u64(7);
-            h.write_u64(fields.len() as u64);
-            for (k, item) in fields {
-                h.write_str(k);
-                hash_tree(h, item);
-            }
-        }
+    fn finish(self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
     }
 }
 
-/// Content fingerprint of an interface: a hash of its complete serialized
-/// form. Two interfaces fingerprint equal iff they serialize identically;
-/// any mutation (added function, edited body, changed ECV) changes it.
+/// Content fingerprint of an interface, computed by walking it directly.
+///
+/// The walk covers every field the serialized form carries: the name and
+/// doc, every function (name, parameters, body, doc), ECV declaration,
+/// unit, extern (name, arity, doc) and input spec, with map keys included.
+/// Floats hash by bit pattern, so `0.0` and `-0.0` differ, as do NaN
+/// payloads; strings and collections are length-prefixed and every enum
+/// variant is tagged. Source [`spans`](Interface::spans) are excluded, so
+/// one text parsed with different whitespace, or built programmatically,
+/// fingerprints the same. Two interfaces that serialize identically
+/// fingerprint equal. An edit confined to one 64-bit word of the walk (a
+/// literal, a bound, an arity, a short name) always changes the result;
+/// any other edit (added function, new ECV) changes it barring a 64-bit
+/// collision.
+///
+/// The mixer is fixed in this module, not taken from `std`, so the value
+/// is stable across builds and Rust releases; certificates carry it.
 pub fn fingerprint_interface(iface: &Interface) -> u64 {
-    let mut h = Fnv::new();
-    hash_tree(&mut h, &iface.to_value());
-    h.0
+    let mut h = Mixer::new();
+    hash_interface(&mut h, iface);
+    h.finish()
 }
 
-/// Hashes a runtime [`Value`] (not `Serialize`, so hashed structurally).
-fn hash_value(h: &mut Fnv, v: &Value) {
+fn hash_interface(h: &mut Mixer, iface: &Interface) {
+    // Destructured so that a new field fails to compile until it is hashed
+    // (or, like `spans`, deliberately left out).
+    let Interface {
+        name,
+        doc,
+        fns,
+        ecvs,
+        units,
+        externs,
+        input_specs,
+        spans: _,
+    } = iface;
+    h.str(name);
+    h.str(doc);
+    h.len(fns.len());
+    for (key, f) in fns {
+        h.str(key);
+        hash_fn(h, f);
+    }
+    h.len(ecvs.len());
+    for (key, decl) in ecvs {
+        h.str(key);
+        hash_decl(h, decl);
+    }
+    h.len(units.len());
+    for unit in units {
+        h.str(unit);
+    }
+    h.len(externs.len());
+    for (key, ExternDecl { name, arity, doc }) in externs {
+        h.str(key);
+        h.str(name);
+        h.len(*arity);
+        h.str(doc);
+    }
+    h.len(input_specs.len());
+    for (key, InputSpec { ranges }) in input_specs {
+        h.str(key);
+        h.len(ranges.len());
+        for (path, FeatureRange { lo, hi }) in ranges {
+            h.str(path);
+            h.f64(*lo);
+            h.f64(*hi);
+        }
+    }
+}
+
+fn hash_fn(h: &mut Mixer, f: &FnDef) {
+    let FnDef {
+        name,
+        params,
+        body,
+        doc,
+    } = f;
+    h.str(name);
+    h.len(params.len());
+    for p in params {
+        h.str(p);
+    }
+    hash_block(h, body);
+    h.str(doc);
+}
+
+fn hash_block(h: &mut Mixer, block: &[Stmt]) {
+    h.len(block.len());
+    for s in block {
+        hash_stmt(h, s);
+    }
+}
+
+fn hash_stmt(h: &mut Mixer, s: &Stmt) {
+    match s {
+        Stmt::Let(name, e) => {
+            h.word(0);
+            h.str(name);
+            hash_expr(h, e);
+        }
+        Stmt::Assign(name, e) => {
+            h.word(1);
+            h.str(name);
+            hash_expr(h, e);
+        }
+        Stmt::If(cond, then, els) => {
+            h.word(2);
+            hash_expr(h, cond);
+            hash_block(h, then);
+            hash_block(h, els);
+        }
+        Stmt::For {
+            var,
+            from,
+            to,
+            body,
+        } => {
+            h.word(3);
+            h.str(var);
+            hash_expr(h, from);
+            hash_expr(h, to);
+            hash_block(h, body);
+        }
+        Stmt::While { cond, bound, body } => {
+            h.word(4);
+            hash_expr(h, cond);
+            h.word(*bound);
+            hash_block(h, body);
+        }
+        Stmt::Return(e) => {
+            h.word(5);
+            hash_expr(h, e);
+        }
+    }
+}
+
+/// Operators and builtins are fieldless, so each shares one word with its
+/// node's tag: `tag | discriminant << 8`.
+fn hash_expr(h: &mut Mixer, e: &Expr) {
+    match e {
+        Expr::Num(n) => {
+            h.word(0);
+            h.f64(*n);
+        }
+        Expr::Bool(b) => h.word(1 | (*b as u64) << 8),
+        Expr::Joules(j) => {
+            h.word(2);
+            h.f64(*j);
+        }
+        Expr::Unit(unit, amount) => {
+            h.word(3);
+            h.str(unit);
+            h.f64(*amount);
+        }
+        Expr::Var(name) => {
+            h.word(4);
+            h.str(name);
+        }
+        Expr::Field(base, field) => {
+            h.word(5);
+            hash_expr(h, base);
+            h.str(field);
+        }
+        Expr::Ecv(name) => {
+            h.word(6);
+            h.str(name);
+        }
+        Expr::Unary(op, x) => {
+            h.word(7 | (*op as u64) << 8);
+            hash_expr(h, x);
+        }
+        Expr::Binary(op, a, b) => {
+            h.word(8 | (*op as u64) << 8);
+            hash_expr(h, a);
+            hash_expr(h, b);
+        }
+        Expr::Call(name, args) => {
+            h.word(9);
+            h.str(name);
+            hash_args(h, args);
+        }
+        Expr::BuiltinCall(b, args) => {
+            h.word(10 | (*b as u64) << 8);
+            hash_args(h, args);
+        }
+        Expr::IfExpr(c, t, e) => {
+            h.word(11);
+            hash_expr(h, c);
+            hash_expr(h, t);
+            hash_expr(h, e);
+        }
+    }
+}
+
+fn hash_args(h: &mut Mixer, args: &[Expr]) {
+    h.len(args.len());
+    for a in args {
+        hash_expr(h, a);
+    }
+}
+
+fn hash_decl(h: &mut Mixer, decl: &EcvDecl) {
+    let EcvDecl { dist, doc } = decl;
+    match dist {
+        DistSpec::Bernoulli { p } => {
+            h.word(0);
+            h.f64(*p);
+        }
+        DistSpec::Discrete { outcomes } => {
+            h.word(1);
+            h.len(outcomes.len());
+            for (v, p) in outcomes {
+                h.f64(*v);
+                h.f64(*p);
+            }
+        }
+        DistSpec::Uniform { lo, hi } => {
+            h.word(2);
+            h.f64(*lo);
+            h.f64(*hi);
+        }
+        DistSpec::Normal { mean, std_dev } => {
+            h.word(3);
+            h.f64(*mean);
+            h.f64(*std_dev);
+        }
+        DistSpec::Point { value } => {
+            h.word(4);
+            h.f64(*value);
+        }
+    }
+    h.str(doc);
+}
+
+/// Hashes a runtime [`Value`] structurally.
+fn hash_value(h: &mut Mixer, v: &Value) {
     match v {
         Value::Num(n) => {
-            h.write_u64(10);
-            h.write_f64(*n);
+            h.word(10);
+            h.f64(*n);
         }
         Value::Bool(b) => {
-            h.write_u64(11);
-            h.write_u64(*b as u64);
+            h.word(11);
+            h.word(*b as u64);
         }
         Value::Energy(ev) => {
-            h.write_u64(12);
-            h.write_f64(ev.joules);
-            h.write_u64(ev.abstracts.len() as u64);
+            h.word(12);
+            h.f64(ev.joules);
+            h.len(ev.abstracts.len());
             for (unit, amount) in &ev.abstracts {
-                h.write_str(unit);
-                h.write_f64(*amount);
+                h.str(unit);
+                h.f64(*amount);
             }
         }
         Value::Record(fields) => {
-            h.write_u64(13);
-            h.write_u64(fields.len() as u64);
+            h.word(13);
+            h.len(fields.len());
             for (k, item) in fields {
-                h.write_str(k);
+                h.str(k);
                 hash_value(h, item);
             }
         }
     }
 }
 
-/// Hashes an ECV environment: every declaration plus every pin.
-fn hash_env(h: &mut Fnv, env: &EcvEnv) {
-    let names: Vec<&str> = env.names().collect();
-    h.write_u64(names.len() as u64);
-    for name in names {
-        h.write_str(name);
-        if let Some(decl) = env.decl(name) {
-            hash_tree(h, &decl.to_value());
-        }
-        match env.pinned(name) {
-            Some(v) => hash_tree(h, &v.to_value()),
-            None => h.write_u64(0),
+/// Hashes an ECV environment: every declaration plus its pin, if any.
+/// Pins of undeclared names are never read, so they are not hashed.
+fn hash_env(h: &mut Mixer, env: &EcvEnv) {
+    h.len(env.decls.len());
+    for (name, decl) in &env.decls {
+        h.str(name);
+        hash_decl(h, decl);
+        match env.pinned.get(name) {
+            None => h.word(0),
+            Some(EcvValue::Bool(b)) => h.word(1 | (*b as u64) << 8),
+            Some(EcvValue::Num(n)) => {
+                h.word(2);
+                h.f64(*n);
+            }
         }
     }
 }
@@ -188,13 +401,13 @@ fn hash_env(h: &mut Fnv, env: &EcvEnv) {
 /// result-identical by contract (enforced by the VM differential suites),
 /// so a result computed by one engine is a valid cache answer for the
 /// other.
-fn hash_config(h: &mut Fnv, config: &EvalConfig) {
-    h.write_u64(config.fuel);
-    h.write_u64(config.max_depth as u64);
-    h.write_u64(config.calibration.len() as u64);
+fn hash_config(h: &mut Mixer, config: &EvalConfig) {
+    h.word(config.fuel);
+    h.len(config.max_depth);
+    h.len(config.calibration.len());
     for (unit, e) in config.calibration.iter() {
-        h.write_str(unit);
-        h.write_f64(e.as_joules());
+        h.str(unit);
+        h.f64(e.as_joules());
     }
 }
 
@@ -262,10 +475,10 @@ impl EvalCache {
     /// itself, so recompiles of an unchanged interface can be
     /// cross-checked for determinism.
     pub fn program_cached(&self, iface: &Interface) -> Result<Arc<vm::Program>> {
-        let mut h = Fnv::new();
-        h.write_u64(40);
-        h.write_u64(fingerprint_interface(iface));
-        let key = h.0;
+        let mut h = Mixer::new();
+        h.word(40);
+        h.word(fingerprint_interface(iface));
+        let key = h.finish();
 
         if let Some(found) = self.programs.lock().get(&key) {
             self.hit();
@@ -284,14 +497,14 @@ impl EvalCache {
         upper: &Interface,
         providers: &[&Interface],
     ) -> Result<Arc<Interface>> {
-        let mut h = Fnv::new();
-        h.write_u64(20);
-        h.write_u64(fingerprint_interface(upper));
-        h.write_u64(providers.len() as u64);
+        let mut h = Mixer::new();
+        h.word(20);
+        h.word(fingerprint_interface(upper));
+        h.len(providers.len());
         for p in providers {
-            h.write_u64(fingerprint_interface(p));
+            h.word(fingerprint_interface(p));
         }
-        let key = h.0;
+        let key = h.finish();
 
         if let Some(found) = self.links.lock().get(&key) {
             self.hit();
@@ -310,14 +523,14 @@ impl EvalCache {
         upper: &Interface,
         registry: &Registry,
     ) -> Result<Arc<Interface>> {
-        let mut h = Fnv::new();
-        h.write_u64(21);
-        h.write_u64(fingerprint_interface(upper));
-        h.write_u64(registry.len() as u64);
+        let mut h = Mixer::new();
+        h.word(21);
+        h.word(fingerprint_interface(upper));
+        h.len(registry.len());
         for p in registry.iter() {
-            h.write_u64(fingerprint_interface(p));
+            h.word(fingerprint_interface(p));
         }
-        let key = h.0;
+        let key = h.finish();
 
         if let Some(found) = self.links.lock().get(&key) {
             self.hit();
@@ -340,18 +553,18 @@ impl EvalCache {
         seed: u64,
         config: &EvalConfig,
     ) -> Result<Energy> {
-        let mut h = Fnv::new();
-        h.write_u64(30);
-        h.write_u64(fingerprint_interface(iface));
-        h.write_str(func);
-        h.write_u64(args.len() as u64);
+        let mut h = Mixer::new();
+        h.word(30);
+        h.word(fingerprint_interface(iface));
+        h.str(func);
+        h.len(args.len());
         for a in args {
             hash_value(&mut h, a);
         }
         hash_env(&mut h, env);
-        h.write_u64(seed);
+        h.word(seed);
         hash_config(&mut h, config);
-        let key = h.0;
+        let key = h.finish();
 
         let mut sp = telemetry::span(SpanKind::CacheLookup, func);
         if let Some(found) = self.energies.lock().get(&key) {
@@ -375,16 +588,16 @@ impl EvalCache {
         args: &[Value],
         config: &EvalConfig,
     ) -> Result<Energy> {
-        let mut h = Fnv::new();
-        h.write_u64(31);
-        h.write_u64(fingerprint_interface(iface));
-        h.write_str(func);
-        h.write_u64(args.len() as u64);
+        let mut h = Mixer::new();
+        h.word(31);
+        h.word(fingerprint_interface(iface));
+        h.str(func);
+        h.len(args.len());
         for a in args {
             hash_value(&mut h, a);
         }
         hash_config(&mut h, config);
-        let key = h.0;
+        let key = h.finish();
 
         let mut sp = telemetry::span(SpanKind::CacheLookup, func);
         if let Some(found) = self.energies.lock().get(&key) {
@@ -431,6 +644,14 @@ mod tests {
         )
         .unwrap();
         assert_ne!(fingerprint_interface(&a), fingerprint_interface(&c));
+    }
+
+    /// Certificates carry interface fingerprints, so a change to the walk
+    /// or to the mixer must show up in review: it invalidates every
+    /// certificate issued before it.
+    #[test]
+    fn toy_fingerprint_is_pinned() {
+        assert_eq!(fingerprint_interface(&toy()), 0x71ab_671a_73a8_f3c8);
     }
 
     #[test]

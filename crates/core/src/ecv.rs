@@ -248,8 +248,8 @@ pub struct EcvDecl {
 /// *state*, not repeated coin flips).
 #[derive(Debug, Clone, Default)]
 pub struct EcvEnv {
-    decls: BTreeMap<String, EcvDecl>,
-    pinned: BTreeMap<String, EcvValue>,
+    pub(crate) decls: BTreeMap<String, EcvDecl>,
+    pub(crate) pinned: BTreeMap<String, EcvValue>,
 }
 
 impl EcvEnv {

@@ -48,7 +48,7 @@ impl FeatureRange {
 /// has entries `param.field`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct InputSpec {
-    ranges: BTreeMap<String, FeatureRange>,
+    pub(crate) ranges: BTreeMap<String, FeatureRange>,
 }
 
 impl InputSpec {

@@ -19,12 +19,13 @@
 //!    — a swap can never change an in-flight evaluation.
 //! 2. Swaps only replace the active *index*; prior versions are never
 //!    mutated or freed, so any borrowed `Arc<Interface>` stays valid.
-//! 3. Every version carries a content [`fingerprint`](InterfaceVersion::fingerprint)
-//!    (FNV over the serialized interfaces + calibration). The
+//! 3. Every version carries a content [`fingerprint`](InterfaceVersion::fingerprint):
+//!    each interface's [`fingerprint_interface`] (a direct walk of its
+//!    content) plus the calibration pairs, folded with FNV. The
 //!    [`EvalCache`](crate::cache::EvalCache) keys compiled programs and
-//!    energy queries by the same content hash, so programs compiled for
-//!    a stale version can never alias the recalibrated one — no cache
-//!    flush is needed at swap time.
+//!    energy queries by the same interface fingerprints, so programs
+//!    compiled for a stale version can never alias the recalibrated one —
+//!    no cache flush is needed at swap time.
 //! 4. The epoch counter increments on every swap *and* rollback, and the
 //!    registry is driven only by the deterministic request clock, so a
 //!    replayed run performs the identical version sequence.

@@ -6,13 +6,13 @@
 //! data does not belong inside the nodes themselves. Diagnostics still need
 //! real source coordinates, so the parser records a *mirror tree* of spans —
 //! one [`ExprSpans`]/[`StmtSpans`] per AST node, in the same child order —
-//! in a [`SpanTable`] carried alongside the [`Interface`]
-//! (crate::interface::Interface::spans).
+//! in a [`SpanTable`] carried alongside the
+//! [`Interface`](crate::interface::Interface::spans).
 //!
 //! The table is metadata, not identity: its `PartialEq` is always true and
-//! it is skipped during serialization, so span-carrying (parsed) and
-//! span-free (programmatically built) interfaces compare and fingerprint
-//! identically.
+//! both serialization and the cache fingerprint skip it, so span-carrying
+//! (parsed) and span-free (programmatically built) interfaces compare and
+//! fingerprint identically.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -148,10 +148,10 @@ impl FnSpans {
 
 /// All source positions recorded while parsing one interface.
 ///
-/// Compares equal to every other table (spans are metadata, not identity)
-/// and serializes to nothing, so adding it to [`Interface`]
-/// (crate::interface::Interface) perturbs neither structural equality nor
-/// cache fingerprints.
+/// Compares equal to every other table (spans are metadata, not identity),
+/// serializes to nothing and is skipped by the cache fingerprint, so adding
+/// it to [`Interface`](crate::interface::Interface) perturbs neither
+/// structural equality nor cache fingerprints.
 #[derive(Debug, Clone, Default)]
 pub struct SpanTable {
     /// Per-function mirrors, keyed by function name.
@@ -208,8 +208,8 @@ impl PartialEq for SpanTable {
 }
 
 // For the same reason the table serializes to nothing (`null`) and
-// deserializes to empty from any value, so cache fingerprints and
-// round-tripped interfaces are unaffected by recorded positions.
+// deserializes to empty from any value, so round-tripped interfaces are
+// unaffected by recorded positions (the cache fingerprint skips it too).
 impl serde::Serialize for SpanTable {
     fn to_value(&self) -> serde::Value {
         serde::Value::Null

@@ -9,11 +9,11 @@
 
 use proptest::prelude::*;
 
-use ei_core::ast::{BinOp, Builtin, Expr, FnDef, Stmt};
+use ei_core::ast::{BinOp, Builtin, Expr, FnDef, Stmt, UnOp};
 use ei_core::cache::{fingerprint_interface, EvalCache};
 use ei_core::dist::EnergyDist;
 use ei_core::ecv::{DistSpec, EcvDecl, EcvEnv};
-use ei_core::interface::Interface;
+use ei_core::interface::{FeatureRange, InputSpec, Interface};
 use ei_core::interp::{
     eval_with_assignment, evaluate_batch, evaluate_energy, expected_energy, mc_chunk_seed,
     monte_carlo, monte_carlo_par, EvalConfig, ExecMode, MC_CHUNK,
@@ -259,6 +259,650 @@ proptest! {
         let a = coef_interface(c as f64);
         let b = coef_interface(c as f64);
         prop_assert_eq!(fingerprint_interface(&a), fingerprint_interface(&b));
+    }
+
+    /// The walk and the serialized-tree reference agree on which generated
+    /// interfaces are equal.
+    #[test]
+    fn fingerprint_agrees_with_the_serialized_reference(
+        a in arb_ecv_interface(),
+        b in arb_ecv_interface(),
+    ) {
+        prop_assert_eq!(
+            reference_fingerprint(&a) == reference_fingerprint(&b),
+            fingerprint_interface(&a) == fingerprint_interface(&b)
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fingerprint oracle
+// ---------------------------------------------------------------------------
+
+/// The fingerprint `fingerprint_interface` computed before it walked the
+/// interface directly: the full serialized tree, hashed with byte-wise
+/// FNV-1a. The walk must split interfaces into the same equality classes.
+fn reference_fingerprint(iface: &Interface) -> u64 {
+    use serde::Serialize;
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    hash_tree(&mut h, &iface.to_value());
+    h.0
+}
+
+struct Fnv(u64);
+
+impl Fnv {
+    fn write_bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.write_bytes(&v.to_le_bytes());
+    }
+
+    fn write_str(&mut self, s: &str) {
+        self.write_u64(s.len() as u64);
+        self.write_bytes(s.as_bytes());
+    }
+}
+
+fn hash_tree(h: &mut Fnv, v: &serde::Value) {
+    use serde::Value as V;
+    match v {
+        V::Null => h.write_u64(0),
+        V::Bool(b) => {
+            h.write_u64(1);
+            h.write_u64(*b as u64);
+        }
+        V::I64(n) => {
+            h.write_u64(2);
+            h.write_u64(*n as u64);
+        }
+        V::U64(n) => {
+            h.write_u64(3);
+            h.write_u64(*n);
+        }
+        V::F64(n) => {
+            h.write_u64(4);
+            h.write_u64(n.to_bits());
+        }
+        V::Str(s) => {
+            h.write_u64(5);
+            h.write_str(s);
+        }
+        V::Array(items) => {
+            h.write_u64(6);
+            h.write_u64(items.len() as u64);
+            for item in items {
+                hash_tree(h, item);
+            }
+        }
+        V::Object(fields) => {
+            h.write_u64(7);
+            h.write_u64(fields.len() as u64);
+            for (k, item) in fields {
+                h.write_str(k);
+                hash_tree(h, item);
+            }
+        }
+    }
+}
+
+/// Every statement, expression and distribution form in one interface.
+const SINK_SRC: &str = r#"
+interface sink "every construct" {
+    unit tick;
+    ecv hot: bernoulli(0.5) "hot cache";
+    ecv load: uniform(0, 10);
+    ecv temp: normal(40, 5);
+    ecv fixed: point(3);
+    ecv mode: discrete(1: 0.25, 2: 0.75);
+    extern fn lower(a, b) "lower layer";
+    fn all(x, r) "every statement and expression" {
+        let acc = 0 J;
+        acc = acc + 2 tick * x;
+        for i in 0..3 {
+            acc = acc + lower(i, r.size);
+        }
+        while x < 0 bound 4 {
+            acc = acc + 1 mJ;
+        }
+        if hot && !(x > 1) || true {
+            acc = acc + joules(max(x, load));
+        } else {
+            acc = acc - 1 J;
+        }
+        let m = -fixed % 2;
+        return if temp >= mode { acc } else { acc * m };
+    }
+}
+"#;
+
+/// The interfaces the fingerprint properties run over: the bundled
+/// `examples/eil/*.eil`, GPT-2 (single-stream and batch), both Fig. 1
+/// interfaces, and [`SINK_SRC`].
+fn fingerprint_corpus() -> Vec<Interface> {
+    use ei_hw::gpu::rtx4090;
+    use ei_hw::nic::datacenter_nic;
+    use ei_service::{calibrate_with_fault, fig1_interface_faulted, CacheEnergy, FaultMixture};
+
+    let mut out = Vec::new();
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/eil");
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "eil"))
+        .collect();
+    files.sort();
+    assert!(files.len() >= 2, "bundled interfaces missing from {dir}");
+    for path in files {
+        let src = std::fs::read_to_string(&path).unwrap();
+        out.extend(ei_core::parser::parse_all(&src).unwrap());
+    }
+    out.push(ei_llm::gpt2_interface(&ei_llm::gpt2_small()));
+    out.push(ei_llm::gpt2_batch_interface(&ei_llm::gpt2_small()));
+
+    let cal = calibrate_with_fault(&rtx4090(), 1.0, 0.0).expect("probe fits");
+    let cal_br = calibrate_with_fault(&rtx4090(), 0.85, 0.25).expect("probe fits");
+    let nic = datacenter_nic();
+    out.push(ei_service::fig1_interface(
+        0.25,
+        0.8,
+        &cal,
+        &CacheEnergy::default(),
+        nic.e_byte,
+        nic.e_packet,
+    ));
+    let mix = FaultMixture {
+        p_request_hit: 0.55,
+        p_local_hit: 0.8,
+        p_remote_alive: 0.9,
+        p_brownout: 0.3,
+        p_degraded_given_brownout: 0.5,
+        timeout_attempts_per_request: 0.02,
+    };
+    out.push(fig1_interface_faulted(
+        &mix,
+        &cal,
+        &cal_br,
+        &CacheEnergy::default(),
+        nic.e_byte,
+        nic.e_packet,
+    ));
+    out.push(parse(SINK_SRC).unwrap());
+    out
+}
+
+/// Builds every single-field edit of an interface, recording which kinds
+/// of field the edits reached.
+#[derive(Default)]
+struct Mutator {
+    reached: std::collections::BTreeSet<&'static str>,
+}
+
+/// The float one bit away: a different value with the smallest possible
+/// change.
+fn flip_low_bit(v: f64) -> f64 {
+    f64::from_bits(v.to_bits() ^ 1)
+}
+
+fn renamed(s: &str) -> String {
+    format!("{s}_")
+}
+
+/// `items` with item `i` replaced by each of `edits`.
+fn replace_each<T: Clone>(items: &[T], i: usize, edits: Vec<T>) -> Vec<Vec<T>> {
+    edits
+        .into_iter()
+        .map(|edit| {
+            let mut v = items.to_vec();
+            v[i] = edit;
+            v
+        })
+        .collect()
+}
+
+impl Mutator {
+    fn reach(&mut self, kind: &'static str) {
+        self.reached.insert(kind);
+    }
+
+    fn float(&mut self, kind: &'static str, v: f64) -> Vec<f64> {
+        self.reach(kind);
+        let mut out = vec![flip_low_bit(v)];
+        if v == 0.0 {
+            self.reach("0.0 <-> -0.0");
+            out.push(-v);
+        }
+        out
+    }
+
+    fn exprs(&mut self, items: &[Expr]) -> Vec<Vec<Expr>> {
+        let mut out = Vec::new();
+        for (i, e) in items.iter().enumerate() {
+            let edits = self.expr(e);
+            out.extend(replace_each(items, i, edits));
+        }
+        out
+    }
+
+    fn expr(&mut self, e: &Expr) -> Vec<Expr> {
+        let b = |e: Expr| Box::new(e);
+        let mut out = Vec::new();
+        match e {
+            Expr::Num(v) => {
+                out.extend(self.float("Expr::Num", *v).into_iter().map(Expr::Num));
+            }
+            Expr::Bool(v) => {
+                self.reach("Expr::Bool");
+                out.push(Expr::Bool(!v));
+            }
+            Expr::Joules(v) => {
+                out.extend(self.float("Expr::Joules", *v).into_iter().map(Expr::Joules));
+            }
+            Expr::Unit(u, a) => {
+                self.reach("Expr::Unit");
+                out.push(Expr::Unit(renamed(u), *a));
+                out.push(Expr::Unit(u.clone(), flip_low_bit(*a)));
+            }
+            Expr::Var(n) => {
+                self.reach("Expr::Var");
+                out.push(Expr::Var(renamed(n)));
+            }
+            Expr::Field(base, f) => {
+                self.reach("Expr::Field");
+                out.push(Expr::Field(base.clone(), renamed(f)));
+                for m in self.expr(base) {
+                    out.push(Expr::Field(b(m), f.clone()));
+                }
+            }
+            Expr::Ecv(n) => {
+                self.reach("Expr::Ecv");
+                out.push(Expr::Ecv(renamed(n)));
+            }
+            Expr::Unary(op, x) => {
+                self.reach("Expr::Unary");
+                let other = if *op == UnOp::Neg {
+                    UnOp::Not
+                } else {
+                    UnOp::Neg
+                };
+                out.push(Expr::Unary(other, x.clone()));
+                for m in self.expr(x) {
+                    out.push(Expr::Unary(*op, b(m)));
+                }
+            }
+            Expr::Binary(op, l, r) => {
+                self.reach("Expr::Binary");
+                let other = if *op == BinOp::Add {
+                    BinOp::Sub
+                } else {
+                    BinOp::Add
+                };
+                out.push(Expr::Binary(other, l.clone(), r.clone()));
+                if l != r {
+                    out.push(Expr::Binary(*op, r.clone(), l.clone()));
+                }
+                for m in self.expr(l) {
+                    out.push(Expr::Binary(*op, b(m), r.clone()));
+                }
+                for m in self.expr(r) {
+                    out.push(Expr::Binary(*op, l.clone(), b(m)));
+                }
+            }
+            Expr::Call(name, args) => {
+                self.reach("Expr::Call");
+                out.push(Expr::Call(renamed(name), args.clone()));
+                if let Some((_, init)) = args.split_last() {
+                    out.push(Expr::Call(name.clone(), init.to_vec()));
+                }
+                for m in self.exprs(args) {
+                    out.push(Expr::Call(name.clone(), m));
+                }
+            }
+            Expr::BuiltinCall(f, args) => {
+                self.reach("Expr::BuiltinCall");
+                let other = if *f == Builtin::Max {
+                    Builtin::Min
+                } else {
+                    Builtin::Max
+                };
+                out.push(Expr::BuiltinCall(other, args.clone()));
+                for m in self.exprs(args) {
+                    out.push(Expr::BuiltinCall(*f, m));
+                }
+            }
+            Expr::IfExpr(c, t, e) => {
+                self.reach("Expr::IfExpr");
+                if t != e {
+                    out.push(Expr::IfExpr(c.clone(), e.clone(), t.clone()));
+                }
+                for m in self.expr(c) {
+                    out.push(Expr::IfExpr(b(m), t.clone(), e.clone()));
+                }
+                for m in self.expr(t) {
+                    out.push(Expr::IfExpr(c.clone(), b(m), e.clone()));
+                }
+                for m in self.expr(e) {
+                    out.push(Expr::IfExpr(c.clone(), t.clone(), b(m)));
+                }
+            }
+        }
+        out
+    }
+
+    fn block(&mut self, items: &[Stmt]) -> Vec<Vec<Stmt>> {
+        let mut out = Vec::new();
+        if let Some((_, init)) = items.split_last() {
+            out.push(init.to_vec());
+        }
+        for (i, s) in items.iter().enumerate() {
+            let edits = self.stmt(s);
+            out.extend(replace_each(items, i, edits));
+        }
+        out
+    }
+
+    fn stmt(&mut self, s: &Stmt) -> Vec<Stmt> {
+        let mut out = Vec::new();
+        match s {
+            Stmt::Let(n, e) => {
+                self.reach("Stmt::Let");
+                out.push(Stmt::Let(renamed(n), e.clone()));
+                out.extend(self.expr(e).into_iter().map(|m| Stmt::Let(n.clone(), m)));
+            }
+            Stmt::Assign(n, e) => {
+                self.reach("Stmt::Assign");
+                out.push(Stmt::Assign(renamed(n), e.clone()));
+                out.extend(self.expr(e).into_iter().map(|m| Stmt::Assign(n.clone(), m)));
+            }
+            Stmt::If(c, t, e) => {
+                self.reach("Stmt::If");
+                if t != e {
+                    out.push(Stmt::If(c.clone(), e.clone(), t.clone()));
+                }
+                for m in self.expr(c) {
+                    out.push(Stmt::If(m, t.clone(), e.clone()));
+                }
+                for m in self.block(t) {
+                    out.push(Stmt::If(c.clone(), m, e.clone()));
+                }
+                for m in self.block(e) {
+                    out.push(Stmt::If(c.clone(), t.clone(), m));
+                }
+            }
+            Stmt::For {
+                var,
+                from,
+                to,
+                body,
+            } => {
+                self.reach("Stmt::For");
+                let at = |var: &str, from: &Expr, to: &Expr, body: &[Stmt]| Stmt::For {
+                    var: var.to_string(),
+                    from: from.clone(),
+                    to: to.clone(),
+                    body: body.to_vec(),
+                };
+                out.push(at(&renamed(var), from, to, body));
+                for m in self.expr(from) {
+                    out.push(at(var, &m, to, body));
+                }
+                for m in self.expr(to) {
+                    out.push(at(var, from, &m, body));
+                }
+                for m in self.block(body) {
+                    out.push(at(var, from, to, &m));
+                }
+            }
+            Stmt::While { cond, bound, body } => {
+                self.reach("Stmt::While");
+                let at = |cond: &Expr, bound: u64, body: &[Stmt]| Stmt::While {
+                    cond: cond.clone(),
+                    bound,
+                    body: body.to_vec(),
+                };
+                out.push(at(cond, bound + 1, body));
+                for m in self.expr(cond) {
+                    out.push(at(&m, *bound, body));
+                }
+                for m in self.block(body) {
+                    out.push(at(cond, *bound, &m));
+                }
+            }
+            Stmt::Return(e) => {
+                self.reach("Stmt::Return");
+                out.extend(self.expr(e).into_iter().map(Stmt::Return));
+            }
+        }
+        out
+    }
+
+    fn dist(&mut self, d: &DistSpec) -> Vec<DistSpec> {
+        let mut out = Vec::new();
+        match d {
+            DistSpec::Bernoulli { p } => {
+                for p in self.float("DistSpec::Bernoulli", *p) {
+                    out.push(DistSpec::Bernoulli { p });
+                }
+            }
+            DistSpec::Discrete { outcomes } => {
+                self.reach("DistSpec::Discrete");
+                for (i, (v, p)) in outcomes.iter().enumerate() {
+                    let edits = [(flip_low_bit(*v), *p), (*v, flip_low_bit(*p))];
+                    for outcomes in replace_each(outcomes, i, edits.to_vec()) {
+                        out.push(DistSpec::Discrete { outcomes });
+                    }
+                }
+                out.push(DistSpec::Discrete {
+                    outcomes: outcomes[1..].to_vec(),
+                });
+            }
+            DistSpec::Uniform { lo, hi } => {
+                self.reach("DistSpec::Uniform");
+                out.push(DistSpec::Uniform {
+                    lo: flip_low_bit(*lo),
+                    hi: *hi,
+                });
+                out.push(DistSpec::Uniform {
+                    lo: *lo,
+                    hi: flip_low_bit(*hi),
+                });
+            }
+            DistSpec::Normal { mean, std_dev } => {
+                self.reach("DistSpec::Normal");
+                out.push(DistSpec::Normal {
+                    mean: flip_low_bit(*mean),
+                    std_dev: *std_dev,
+                });
+                out.push(DistSpec::Normal {
+                    mean: *mean,
+                    std_dev: flip_low_bit(*std_dev),
+                });
+            }
+            DistSpec::Point { value } => {
+                for value in self.float("DistSpec::Point", *value) {
+                    out.push(DistSpec::Point { value });
+                }
+            }
+        }
+        out
+    }
+
+    /// Every single-field edit of `iface`.
+    fn interface(&mut self, iface: &Interface) -> Vec<Interface> {
+        let mut out = Vec::new();
+        let mut edit = |f: &mut dyn FnMut(&mut Interface)| {
+            let mut c = iface.clone();
+            f(&mut c);
+            out.push(c);
+        };
+        edit(&mut |c| c.name.push('x'));
+        edit(&mut |c| c.doc.push('x'));
+        edit(&mut |c| c.add_unit("zz_unit"));
+        for u in &iface.units {
+            edit(&mut |c| {
+                c.units.remove(u);
+            });
+        }
+        for (key, f) in &iface.fns {
+            edit(&mut |c| {
+                let f = c.fns.remove(key).unwrap();
+                c.fns.insert(renamed(key), f);
+            });
+            edit(&mut |c| c.fns.get_mut(key).unwrap().name.push('x'));
+            edit(&mut |c| c.fns.get_mut(key).unwrap().doc.push('x'));
+            edit(&mut |c| c.fns.get_mut(key).unwrap().params.push("extra".into()));
+            for i in 0..f.params.len() {
+                edit(&mut |c| c.fns.get_mut(key).unwrap().params[i].push('x'));
+            }
+            edit(&mut |c| c.set_input_spec(key.clone(), InputSpec::new().range("zz", 0.0, 1.0)));
+        }
+        for key in iface.ecvs.keys() {
+            edit(&mut |c| {
+                let d = c.ecvs.remove(key).unwrap();
+                c.ecvs.insert(renamed(key), d);
+            });
+            edit(&mut |c| c.ecvs.get_mut(key).unwrap().doc.push('x'));
+        }
+        for key in iface.externs.keys() {
+            edit(&mut |c| c.externs.get_mut(key).unwrap().arity += 1);
+            edit(&mut |c| c.externs.get_mut(key).unwrap().name.push('x'));
+            edit(&mut |c| c.externs.get_mut(key).unwrap().doc.push('x'));
+            edit(&mut |c| {
+                let e = c.externs.remove(key).unwrap();
+                c.externs.insert(renamed(key), e);
+            });
+        }
+        for (key, spec) in &iface.input_specs {
+            edit(&mut |c| {
+                c.input_specs.remove(key);
+            });
+            let entries: Vec<(String, FeatureRange)> =
+                spec.iter().map(|(p, r)| (p.to_string(), r)).collect();
+            for i in 0..entries.len() {
+                let mut respec = |f: &dyn Fn(&mut (String, FeatureRange))| {
+                    let mut edited = entries.clone();
+                    f(&mut edited[i]);
+                    let spec = edited
+                        .into_iter()
+                        .fold(InputSpec::new(), |s, (p, r)| s.range(p, r.lo, r.hi));
+                    edit(&mut |c| c.set_input_spec(key.clone(), spec.clone()));
+                };
+                respec(&|(_, r)| r.lo = flip_low_bit(r.lo));
+                respec(&|(_, r)| r.hi = flip_low_bit(r.hi));
+                respec(&|(p, _)| p.push('x'));
+            }
+        }
+        if !iface.externs.is_empty() {
+            self.reach("extern");
+        }
+        if !iface.input_specs.is_empty() {
+            self.reach("input spec bounds");
+        }
+
+        // Edits that reach into function bodies and ECV distributions.
+        for (key, f) in &iface.fns {
+            for body in self.block(&f.body) {
+                let mut c = iface.clone();
+                c.fns.get_mut(key).unwrap().body = body;
+                out.push(c);
+            }
+        }
+        for (key, decl) in &iface.ecvs {
+            for dist in self.dist(&decl.dist) {
+                let mut c = iface.clone();
+                c.ecvs.get_mut(key).unwrap().dist = dist;
+                out.push(c);
+            }
+        }
+        out
+    }
+}
+
+/// The walk and the serialized-tree reference split the corpus and every
+/// single-field edit of it into the same equality classes, and every edit
+/// moves the fingerprint.
+#[test]
+fn fingerprint_matches_the_serialized_reference_on_single_field_edits() {
+    let mut m = Mutator::default();
+    let mut by_reference: std::collections::HashMap<u64, u64> = Default::default();
+    let mut by_walk: std::collections::HashMap<u64, u64> = Default::default();
+    let mut agree = |iface: &Interface| {
+        let (r, w) = (reference_fingerprint(iface), fingerprint_interface(iface));
+        assert_eq!(*by_reference.entry(r).or_insert(w), w, "{}", iface.name);
+        assert_eq!(*by_walk.entry(w).or_insert(r), r, "{}", iface.name);
+        w
+    };
+    let mut edits = 0;
+    for base in fingerprint_corpus() {
+        let fp = agree(&base);
+        for edited in m.interface(&base) {
+            assert_ne!(
+                reference_fingerprint(&edited),
+                reference_fingerprint(&base),
+                "edit left {} unchanged",
+                base.name
+            );
+            assert_ne!(agree(&edited), fp, "edit of {} not seen", base.name);
+            edits += 1;
+        }
+    }
+    assert!(edits > 1000, "only {edits} edits");
+    let reached: Vec<&str> = m.reached.into_iter().collect();
+    assert_eq!(
+        reached,
+        [
+            "0.0 <-> -0.0",
+            "DistSpec::Bernoulli",
+            "DistSpec::Discrete",
+            "DistSpec::Normal",
+            "DistSpec::Point",
+            "DistSpec::Uniform",
+            "Expr::Binary",
+            "Expr::Bool",
+            "Expr::BuiltinCall",
+            "Expr::Call",
+            "Expr::Ecv",
+            "Expr::Field",
+            "Expr::IfExpr",
+            "Expr::Joules",
+            "Expr::Num",
+            "Expr::Unary",
+            "Expr::Unit",
+            "Expr::Var",
+            "Stmt::Assign",
+            "Stmt::For",
+            "Stmt::If",
+            "Stmt::Let",
+            "Stmt::Return",
+            "Stmt::While",
+            "extern",
+            "input spec bounds",
+        ]
+    );
+}
+
+/// Spans are excluded: one text parsed with different whitespace, or
+/// printed and parsed back, fingerprints the same.
+#[test]
+fn fingerprint_ignores_source_layout() {
+    use ei_core::pretty::print_interface;
+    for iface in fingerprint_corpus() {
+        let printed = print_interface(&iface);
+        let spread = printed.replace('\n', "\n\n    ").replace(" {", "\n  {");
+        let mut a = parse(&printed).unwrap();
+        let mut b = parse(&spread).unwrap();
+        assert_ne!(format!("{:?}", a.spans), format!("{:?}", b.spans));
+        assert_eq!(fingerprint_interface(&a), fingerprint_interface(&b));
+        // Input specs have no surface syntax; the rest round-trips.
+        a.input_specs = iface.input_specs.clone();
+        b.input_specs = iface.input_specs.clone();
+        assert_eq!(fingerprint_interface(&a), fingerprint_interface(&iface));
+        assert_eq!(fingerprint_interface(&b), fingerprint_interface(&iface));
     }
 }
 
