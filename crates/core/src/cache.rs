@@ -53,7 +53,6 @@ use crate::interface::{FeatureRange, InputSpec, Interface};
 use crate::interp::{evaluate_energy, expected_energy, EvalConfig};
 use crate::units::Energy;
 use crate::value::Value;
-use crate::vm;
 
 /// The one hasher behind interface fingerprints and cache keys: a fixed
 /// word mixer over a 64-bit state.
@@ -429,7 +428,6 @@ pub struct CacheStats {
 pub struct EvalCache {
     links: Mutex<HashMap<u64, Arc<Interface>>>,
     energies: Mutex<HashMap<u64, Energy>>,
-    programs: Mutex<HashMap<u64, Arc<vm::Program>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -462,32 +460,6 @@ impl EvalCache {
     pub fn clear(&self) {
         self.links.lock().clear();
         self.energies.lock().clear();
-        self.programs.lock().clear();
-    }
-
-    /// Memoized [`vm::compile`]: the compiled bytecode for an interface,
-    /// keyed by its content fingerprint.
-    ///
-    /// The sampling drivers compile internally per call; this entry point
-    /// is for callers that hold one program across many queries — serving
-    /// recompute paths, candidate ranking, benches. The returned
-    /// [`vm::Program::fingerprint`] identifies the compiled artifact
-    /// itself, so recompiles of an unchanged interface can be
-    /// cross-checked for determinism.
-    pub fn program_cached(&self, iface: &Interface) -> Result<Arc<vm::Program>> {
-        let mut h = Mixer::new();
-        h.word(40);
-        h.word(fingerprint_interface(iface));
-        let key = h.finish();
-
-        if let Some(found) = self.programs.lock().get(&key) {
-            self.hit();
-            return Ok(Arc::clone(found));
-        }
-        self.miss();
-        let program = Arc::new(vm::compile(iface)?);
-        self.programs.lock().insert(key, Arc::clone(&program));
-        Ok(program)
     }
 
     /// Memoized [`link`]: returns the cached composition when the same
@@ -699,34 +671,6 @@ mod tests {
         let direct = expected_energy(&iface, "cost", &[Value::Num(2.0)], &cfg).unwrap();
         assert_eq!(warm, direct);
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
-    }
-
-    #[test]
-    fn program_cache_hits_and_is_mutation_sensitive() {
-        let cache = EvalCache::new();
-        let cold = cache.program_cached(&toy()).unwrap();
-        let warm = cache.program_cached(&toy()).unwrap();
-        assert_eq!(cold.fingerprint(), warm.fingerprint());
-        assert!(Arc::ptr_eq(&cold, &warm));
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
-
-        // A recompile outside the cache reproduces the same artifact.
-        assert_eq!(
-            vm::compile(&toy()).unwrap().fingerprint(),
-            cold.fingerprint()
-        );
-
-        let edited = parse(
-            r#"
-            interface toy "toy" {
-                fn cost(n) { return 3 mJ * n; }
-            }
-            "#,
-        )
-        .unwrap();
-        let other = cache.program_cached(&edited).unwrap();
-        assert_ne!(other.fingerprint(), cold.fingerprint());
-        assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]

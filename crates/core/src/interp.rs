@@ -721,12 +721,14 @@ const MEMO_CAP: usize = 4096;
 /// replays its calibrated energy instead of re-executing. Bernoulli and
 /// discrete ECVs — and the no-ECV case — collapse to a handful of distinct
 /// assignments per call; continuous ECVs never repeat and pay only a hash
-/// probe. This memo, not VM dispatch, is where most of the compiled
-/// Monte-Carlo speedup comes from. A hit re-emits the run's telemetry
-/// (`core.interp.evals`, `core.interp.fuel_per_eval`), so the trace cannot
-/// reveal the reuse. Keys are the assignment's raw bits in name order;
-/// each ECV's value kind is fixed by its distribution, so bool/num
-/// encodings cannot collide positionally.
+/// probe. This memo and the VM's own call memo (see [`vm::Vm`]), not VM
+/// dispatch, are where most of the compiled Monte-Carlo speedup comes
+/// from; the call memo lives in `machine`, so it spans the same call. A
+/// hit re-emits the run's telemetry (`core.interp.evals`,
+/// `core.interp.fuel_per_eval`), so the trace cannot reveal the reuse.
+/// Keys are the assignment's raw bits in name order; each ECV's value kind
+/// is fixed by its distribution, so bool/num encodings cannot collide
+/// positionally.
 ///
 /// The tree-walk stays memo-free on purpose: it is the reference the
 /// memoized path is differentially tested against.

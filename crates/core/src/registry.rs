@@ -22,10 +22,10 @@
 //! 3. Every version carries a content [`fingerprint`](InterfaceVersion::fingerprint):
 //!    each interface's [`fingerprint_interface`] (a direct walk of its
 //!    content) plus the calibration pairs, folded with FNV. The
-//!    [`EvalCache`](crate::cache::EvalCache) keys compiled programs and
-//!    energy queries by the same interface fingerprints, so programs
-//!    compiled for a stale version can never alias the recalibrated one —
-//!    no cache flush is needed at swap time.
+//!    [`EvalCache`](crate::cache::EvalCache) keys energy queries by the
+//!    same interface fingerprints, so answers computed for a stale version
+//!    can never alias the recalibrated one — no cache flush is needed at
+//!    swap time.
 //! 4. The epoch counter increments on every swap *and* rollback, and the
 //!    registry is driven only by the deterministic request clock, so a
 //!    replayed run performs the identical version sequence.

@@ -136,8 +136,12 @@ pub struct Chunk {
     pub reg_names: Vec<Option<u32>>,
 }
 
-/// A compiled interface: the unit of caching and execution.
+/// A compiled interface: the unit of execution.
+///
+/// Non-exhaustive so that only this crate builds one from parts;
+/// [`super::compile`] verifies every program it returns.
 #[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
 pub struct Program {
     /// Interface name.
     pub name: String,
@@ -154,18 +158,17 @@ pub struct Program {
     pub chunks: Vec<Chunk>,
     /// Function name → chunk id.
     pub fn_ids: BTreeMap<String, u32>,
-    pub(crate) fingerprint: u64,
 }
 
 impl Program {
     /// Stable fingerprint of the compiled artifact (code, pools, tables).
     ///
-    /// Two programs with the same fingerprint execute identically; the
-    /// disassembler prints it, and [`crate::cache::EvalCache`] keys compiled
-    /// programs by the *source* interface fingerprint so recompiles can be
-    /// cross-checked against this value.
+    /// Two programs with the same fingerprint execute identically. Only the
+    /// disassembler and tests read it, so it is computed on demand rather
+    /// than on every compile; a recompile of an unchanged interface
+    /// reproduces the same value.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        fingerprint_program(self)
     }
 
     /// Resolves this program's calibration slots against `cal`: slot `i`
@@ -238,7 +241,7 @@ impl Fnv {
     }
 }
 
-pub(crate) fn fingerprint_program(p: &Program) -> u64 {
+fn fingerprint_program(p: &Program) -> u64 {
     let mut h = Fnv::new();
     h.str(&p.name);
     for s in &p.symbols {

@@ -3,12 +3,43 @@
 //! A [`Vm`] holds the mutable run state for one compiled [`Program`]: a
 //! flat register stack (frames are contiguous windows addressed by a base
 //! offset), a parallel stack of while-loop trip counters, the resolved
-//! ECV slots for the current sample, and the fuel budget. The instance is
-//! designed to be **reused across samples** — `run` resets per-call state
-//! but keeps the allocations. Most of the compiled Monte-Carlo speedup over
-//! the tree-walk does not come from here but from the Monte-Carlo sampler's
-//! assignment memo in [`crate::interp`], which skips `run` entirely for
-//! an ECV assignment it has already executed.
+//! ECV slots for the current sample, the fuel budget, and a call memo.
+//! The instance is designed to be **reused across samples** — `run`
+//! resets per-call state but keeps the allocations and the memo.
+//!
+//! ## Two memos
+//!
+//! Most of the compiled speedup over the tree-walk comes from not
+//! executing, and two memos at two layers do that:
+//!
+//! - **The call memo** (here, one per `Vm`). A `Call` to a chunk whose
+//!   closure reads no ECV is a function of its arguments alone, so a
+//!   repeat of the same callee on the same argument bits returns the
+//!   stored value. This absorbs the repeated kernel calls inside one
+//!   evaluation (GPT-2's decode steps all call `e_embed(1)`,
+//!   `e_lm_head()` and the same four matmuls) and across the samples of
+//!   one sampling call (everything below the ECV reads). It cannot see the
+//!   entry frame, which reads ECVs.
+//! - **The assignment memo** (`AssignmentMemo` in [`crate::interp`], one
+//!   per Monte-Carlo call or worker). It skips `run` entirely for an ECV
+//!   assignment already executed, which covers the entry frame: Fig. 1's
+//!   `handle(request)` reads ECVs and takes a record, so no call memo
+//!   could replace it.
+//!
+//! Neither memo is process-wide: both live exactly as long as one call of
+//! `evaluate_batch`, `monte_carlo` or `enumerate_exact` (or one
+//! `monte_carlo_par` worker).
+//!
+//! The call memo keeps the tree-walk's observable behaviour exactly. Only
+//! successful calls are stored, each with the fuel it consumed and the
+//! deepest call depth it reached relative to its own frame. A repeat takes
+//! the stored value only when re-executing would provably succeed under
+//! the current limits (enough fuel left, enough depth left); it then
+//! debits the stored fuel, so fuel accounting and the telemetry trace are
+//! unchanged. Otherwise the call executes and fails at the same boundary
+//! the tree-walk does. Keys are the callee id plus a kind tag and the raw
+//! bits of each argument, compared in full; a call that passes a record or
+//! an energy with abstract units is never memoized.
 //!
 //! Semantics are defined by the tree-walk interpreter in
 //! [`crate::interp`]: every arithmetic case, error variant, error message,
@@ -22,7 +53,7 @@
 //! arithmetic instruction clones no operand. The tree-walk instead clones
 //! every variable it reads out of its name-keyed locals.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::ast::UnOp;
 use crate::ecv::EcvValue;
@@ -31,6 +62,21 @@ use crate::interp::{self, EvalConfig};
 use crate::value::Value;
 
 use super::chunk::{Chunk, Instr, Program};
+
+/// Most distinct calls one [`Vm`]'s call memo remembers. A GPT-2
+/// `e_generate` sweep stores about 600, a 256-sample `e_step` Monte Carlo
+/// about 1,000; past the cap, new calls execute without being stored,
+/// which changes speed only.
+const CALL_MEMO_CAP: usize = 4096;
+
+/// One memoized call: what it returned and what it cost.
+struct CallEntry {
+    value: Value,
+    /// Fuel the callee consumed.
+    fuel: u64,
+    /// Deepest depth check the callee passed, relative to its own frame.
+    depth: usize,
+}
 
 /// Reusable execution state for one compiled program.
 pub struct Vm<'p> {
@@ -48,6 +94,50 @@ pub struct Vm<'p> {
     fuel: u64,
     fuel_limit: u64,
     max_depth: usize,
+    /// Per chunk: true when neither it nor anything it can call reads an
+    /// ECV, so its result depends on its arguments alone.
+    ecv_free: Vec<bool>,
+    /// The call memo: [`Vm::memo_key`] encodings, each indexing `entries`.
+    /// The table keeps up to twice as many slots as entries, so its slots
+    /// hold an index, not the entry.
+    calls: HashMap<Box<[u64]>, u32>,
+    entries: Vec<CallEntry>,
+    /// Scratch buffer for the key of the call being looked up.
+    key: Vec<u64>,
+    /// Deepest depth check passed so far in the current call.
+    peak: usize,
+    /// `Call` instructions that passed their depth check, and the callee
+    /// frames actually executed for them.
+    #[cfg(test)]
+    counts: (u64, u64),
+}
+
+/// Marks the chunks whose closure over `Call` edges contains no
+/// `Instr::Ecv`: start from the chunks that read none directly, then clear
+/// every chunk that calls a cleared one until nothing changes.
+fn ecv_free_chunks(program: &Program) -> Vec<bool> {
+    let mut free: Vec<bool> = program
+        .chunks
+        .iter()
+        .map(|c| !c.code.iter().any(|i| matches!(i, Instr::Ecv { .. })))
+        .collect();
+    loop {
+        let mut changed = false;
+        for (id, chunk) in program.chunks.iter().enumerate() {
+            if free[id]
+                && chunk
+                    .code
+                    .iter()
+                    .any(|i| matches!(i, Instr::Call { f, .. } if !free[*f as usize]))
+            {
+                free[id] = false;
+                changed = true;
+            }
+        }
+        if !changed {
+            return free;
+        }
+    }
 }
 
 impl<'p> Vm<'p> {
@@ -62,7 +152,21 @@ impl<'p> Vm<'p> {
             fuel: 0,
             fuel_limit: 0,
             max_depth: 0,
+            ecv_free: ecv_free_chunks(program),
+            calls: HashMap::new(),
+            entries: Vec::new(),
+            key: Vec::new(),
+            peak: 0,
+            #[cfg(test)]
+            counts: (0, 0),
         }
+    }
+
+    /// `Call` instructions executed so far, and how many of them ran the
+    /// callee's frame instead of answering from the call memo.
+    #[cfg(test)]
+    pub(crate) fn call_counts(&self) -> (u64, u64) {
+        self.counts
     }
 
     /// Fuel consumed by the most recent [`Vm::run`] call.
@@ -90,6 +194,7 @@ impl<'p> Vm<'p> {
         }
         self.regs.clear();
         self.counters.clear();
+        self.peak = 0;
 
         if let Some(&fid) = self.program.fn_ids.get(func) {
             let chunk = &self.program.chunks[fid as usize];
@@ -176,6 +281,91 @@ impl<'p> Vm<'p> {
         args.clear();
         self.scratch = args;
         res
+    }
+
+    /// Writes into `self.key` the memo key of calling chunk `f` on
+    /// `regs[args..args + n]`: the callee id, then each argument's kind
+    /// tag (two bits each, 32 to a word), then each argument's raw bits, so
+    /// `Num(x)` and `x J` never share a key. The callee fixes `n`, so the
+    /// layout is unambiguous. Returns false, leaving the call unmemoized,
+    /// when an argument is a record or an energy with abstract units.
+    fn memo_key(&mut self, f: u32, args: u32, n: u32) -> bool {
+        self.key.clear();
+        self.key.push(u64::from(f));
+        let tags_at = self.key.len();
+        self.key.resize(tags_at + (n as usize).div_ceil(32), 0);
+        let lo = args as usize;
+        for (i, slot) in self.regs[lo..lo + n as usize].iter().enumerate() {
+            let (tag, bits) = match slot {
+                Some(Value::Num(x)) => (0, x.to_bits()),
+                Some(Value::Bool(b)) => (1, u64::from(*b)),
+                Some(Value::Energy(e)) if e.abstracts.is_empty() => (2, e.joules.to_bits()),
+                _ => return false,
+            };
+            self.key[tags_at + i / 32] |= tag << (2 * (i % 32));
+            self.key.push(bits);
+        }
+        true
+    }
+
+    /// Calls chunk `f` on `regs[args..args + n]` in a new frame at
+    /// `depth`, whose depth check has passed: from the call memo when the
+    /// callee is ECV-free and a stored repeat provably succeeds under the
+    /// current limits, by executing it otherwise.
+    fn call(&mut self, f: u32, args: u32, n: u32, depth: usize) -> Result<Value> {
+        #[cfg(test)]
+        {
+            self.counts.0 += 1;
+        }
+        self.peak = self.peak.max(depth);
+        let memoizable = self.ecv_free[f as usize] && self.memo_key(f, args, n);
+        if memoizable {
+            if let Some(&i) = self.calls.get(self.key.as_slice()) {
+                let hit = &self.entries[i as usize];
+                if hit.fuel <= self.fuel && depth + hit.depth <= self.max_depth {
+                    self.fuel -= hit.fuel;
+                    self.peak = self.peak.max(depth + hit.depth);
+                    return Ok(hit.value.clone());
+                }
+            }
+        }
+        #[cfg(test)]
+        {
+            self.counts.1 += 1;
+        }
+        let key = (memoizable && self.calls.len() < CALL_MEMO_CAP)
+            .then(|| Box::<[u64]>::from(self.key.as_slice()));
+        let (fuel_before, outer_peak) = (self.fuel, self.peak);
+
+        let callee = &self.program.chunks[f as usize];
+        let new_base = self.regs.len() as u32;
+        for j in args as usize..(args + n) as usize {
+            let v = self.regs[j].clone();
+            self.regs.push(v);
+        }
+        self.regs
+            .resize(new_base as usize + callee.n_regs as usize, None);
+        let new_cbase = self.counters.len() as u32;
+        self.counters
+            .resize(new_cbase as usize + callee.n_counters as usize, 0);
+        self.peak = depth;
+        let r = self.exec(f, new_base, new_cbase, depth);
+        self.regs.truncate(new_base as usize);
+        self.counters.truncate(new_cbase as usize);
+        let rel_depth = self.peak - depth;
+        self.peak = self.peak.max(outer_peak);
+
+        let v = r?;
+        if let Some(key) = key {
+            let entry = CallEntry {
+                value: v.clone(),
+                fuel: fuel_before - self.fuel,
+                depth: rel_depth,
+            };
+            self.calls.insert(key, self.entries.len() as u32);
+            self.entries.push(entry);
+        }
+        Ok(v)
     }
 
     /// Runs chunk `fid` with its frame at `base`/`cbase`, at call depth
@@ -287,6 +477,7 @@ impl<'p> Vm<'p> {
                             limit: self.max_depth,
                         });
                     }
+                    self.peak = self.peak.max(depth + 1);
                     let r =
                         self.with_args(base, *abase, *n, |_, args| interp::eval_builtin(*b, args))?;
                     self.wr(base, *dst, r);
@@ -302,22 +493,7 @@ impl<'p> Vm<'p> {
                             limit: self.max_depth,
                         });
                     }
-                    let callee = &program.chunks[*f as usize];
-                    let new_base = self.regs.len() as u32;
-                    let lo = (base + abase) as usize;
-                    for j in 0..*n as usize {
-                        let v = self.regs[lo + j].clone();
-                        self.regs.push(v);
-                    }
-                    self.regs
-                        .resize(new_base as usize + callee.n_regs as usize, None);
-                    let new_cbase = self.counters.len() as u32;
-                    self.counters
-                        .resize(new_cbase as usize + callee.n_counters as usize, 0);
-                    let r = self.exec(*f, new_base, new_cbase, depth + 1);
-                    self.regs.truncate(new_base as usize);
-                    self.counters.truncate(new_cbase as usize);
-                    let v = r?;
+                    let v = self.call(*f, base + *abase, *n, depth + 1)?;
                     self.wr(base, *dst, v);
                 }
                 Instr::ForInit { i, from, to } => {

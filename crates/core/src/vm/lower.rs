@@ -38,7 +38,7 @@ use crate::interp;
 use crate::units::EnergyVec;
 use crate::value::Value;
 
-use super::chunk::{fingerprint_program, Chunk, Instr, Program};
+use super::chunk::{Chunk, Instr, Program};
 
 /// Maximum trip count a constant-bound `for` loop may have to be unrolled.
 pub const UNROLL_MAX_TRIPS: u64 = 64;
@@ -94,7 +94,7 @@ pub fn compile(iface: &Interface) -> Result<Program> {
         chunks.push(lower.run()?);
     }
 
-    let mut program = Program {
+    let program = Program {
         name: iface.name.clone(),
         symbols: symbols.strings,
         units: units.into_iter().collect(),
@@ -102,9 +102,7 @@ pub fn compile(iface: &Interface) -> Result<Program> {
         externs: iface.externs.keys().cloned().collect(),
         chunks,
         fn_ids,
-        fingerprint: 0,
     };
-    program.fingerprint = fingerprint_program(&program);
     // Every compiled artifact is statically verified before it can
     // execute: a verifier failure here means a lowering bug, reported at
     // compile time instead of as a runtime panic or divergence.

@@ -18,10 +18,11 @@
 //!   constant folding, branch and loop-bound specialization (fed by the
 //!   sema interval analysis), and static per-instruction fuel weights.
 //! - [`Program`]/[`Instr`] (`chunk.rs`): the chunk arena, interned symbol
-//!   and calibration/ECV slot tables, and the artifact fingerprint used
-//!   by the eval cache.
+//!   and calibration/ECV slot tables, and the artifact fingerprint the
+//!   disassembler prints.
 //! - [`Vm`] (`exec.rs`): the reusable executor; arithmetic defers to the
-//!   interpreter's own kernels so the two engines cannot drift.
+//!   interpreter's own kernels so the two engines cannot drift, and a
+//!   call memo answers repeated calls to ECV-free functions.
 //! - [`disassemble`] (`disasm.rs`): byte-stable text for golden tests.
 //!
 //! The interpreter stays authoritative: `tests/vm_differential.rs` and
@@ -42,9 +43,9 @@ pub use lower::{compile, UNROLL_BODY_BUDGET, UNROLL_MAX_TRIPS};
 pub use verify::{render_errors, verify, verify_against, VerifyError};
 
 /// Ill-formed bytecode fixtures for verifier testing. Programs cannot be
-/// constructed outside this crate (the fingerprint field is private), so
-/// the corpus is built here and consumed by both the unit tests below and
-/// the `cert_gate` CI binary.
+/// constructed outside this crate ([`Program`] is non-exhaustive), so the
+/// corpus is built here and consumed by both the unit tests below and the
+/// `cert_gate` CI binary.
 #[doc(hidden)]
 pub mod testing {
     use std::collections::BTreeSet;
@@ -89,7 +90,6 @@ pub mod testing {
             externs: BTreeSet::new(),
             chunks: vec![chunk],
             fn_ids: [("f".to_string(), 0u32)].into_iter().collect(),
-            fingerprint: 0,
         }
     }
 
@@ -677,9 +677,65 @@ mod tests {
         let iface = parse(KITCHEN_SINK).unwrap();
         let a = compile(&iface).unwrap();
         let b = compile(&iface).unwrap();
+        // A recompile reproduces the same artifact, and an edit does not.
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(disassemble(&a), disassemble(&b));
         assert!(disassemble(&a).contains("fn fact/1"));
+        let edited = parse(&KITCHEN_SINK.replace("return 1; }", "return 2; }")).unwrap();
+        assert_ne!(compile(&edited).unwrap().fingerprint(), a.fingerprint());
+    }
+
+    /// A decode loop shaped like GPT-2's `e_generate`: every step calls
+    /// the same embedding, head and matmul kernels with the same
+    /// arguments, and only the attention call varies with the context.
+    const DECODE_LOOP: &str = r#"interface decode {
+        fn kernel(flops, bytes) { return flops * 1 nJ + bytes * 2 pJ; }
+        fn embed(tokens) { return kernel(tokens * 768, tokens * 1536); }
+        fn matmul(tokens, w) { return kernel(2 * tokens * w, w * 2); }
+        fn attention(tokens, ctx) { return kernel(4 * tokens * ctx * 64, ctx * 128); }
+        fn layer(tokens, ctx) {
+            return matmul(tokens, 2304) + attention(tokens, ctx)
+                 + matmul(tokens, 768) + matmul(tokens, 3072) + matmul(tokens, 3072);
+        }
+        fn head() { return kernel(2 * 50257 * 768, 50257 * 1536); }
+        fn step(ctx) { return embed(1) + 12 * layer(1, ctx) + head(); }
+        fn generate(p, g) {
+            let e = 0 J;
+            for t in 1..g { e = e + step(p + t); }
+            return e;
+        }
+    }"#;
+
+    #[test]
+    fn call_memo_skips_repeated_kernel_frames() {
+        let iface = parse(DECODE_LOOP).unwrap();
+        let program = compile(&iface).unwrap();
+        let ecvs = BTreeMap::new();
+        let cfg = EvalConfig::default();
+        let args = [Value::Num(8.0), Value::Num(32.0)];
+        let oracle = interp::eval_with_assignment(&iface, "generate", &args, &ecvs, &tree_cfg());
+
+        let mut machine = Vm::new(&program);
+        let first = machine.run("generate", &args, &ecvs, &cfg);
+        assert_eq!(first, oracle);
+        let fuel = machine.fuel_used();
+        // A memo-free run executes 16 calls per step. The first of the 31
+        // steps executes 15 and runs 14 frames: its second
+        // `matmul(1, 3072)` is already a hit. Every later step executes
+        // 10 `Call` instructions (the memo answers `embed`, `head` and the
+        // matmuls without running their kernel calls), and only `step`,
+        // `layer`, `attention` and the attention `kernel` see a new
+        // context and run a frame.
+        let (calls, frames) = machine.call_counts();
+        assert_eq!((calls, frames), (15 + 30 * 10, 14 + 30 * 4));
+        assert!(frames * 2 < calls, "{frames} frames for {calls} calls");
+
+        // A repeat of the whole query executes no callee frame at all,
+        // yet reports the same value and fuel.
+        let again = machine.run("generate", &args, &ecvs, &cfg);
+        assert_eq!(again, oracle);
+        assert_eq!(machine.fuel_used(), fuel);
+        assert_eq!(machine.call_counts(), (calls + 31, frames));
     }
 
     #[test]

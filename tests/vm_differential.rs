@@ -16,7 +16,9 @@
 //!
 //! Alongside the random programs, the seeded bad-chunk corpus pins the
 //! other side of the contract: programs the verifier must *reject*, with
-//! byte-stable diagnostics.
+//! byte-stable diagnostics. A fixed fixture pins the VM's call memo at
+//! every fuel and depth boundary, and against the argument kinds it must
+//! never conflate.
 
 use std::collections::BTreeMap;
 
@@ -27,8 +29,10 @@ use ei_core::interface::InputSpec;
 use ei_core::interp::{
     eval_with_assignment, evaluate_batch, monte_carlo, monte_carlo_par, EvalConfig, ExecMode,
 };
-use ei_core::units::{Calibration, Energy};
+use ei_core::parser::parse;
+use ei_core::units::{Calibration, Energy, EnergyVec};
 use ei_core::value::Value;
+use ei_core::vm::{compile, Vm};
 use ei_telemetry as telemetry;
 
 #[path = "../crates/core/tests/common/generators.rs"]
@@ -258,6 +262,197 @@ fn bad_chunk_corpus_is_rejected_with_stable_diagnostics() {
                 "diagnostic drifted for corpus entry `{}`",
                 bad.name
             ),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The VM's call memo: a repeat of an ECV-free call must be unobservable.
+// ---------------------------------------------------------------------------
+
+/// A loop that calls an ECV-free chain on repeating arguments
+/// (`entry` → `top` → `mid` → `leaf` → `root`), callees that read an ECV
+/// directly (`probe`) or through a callee (`relay`), and callees that take
+/// a record (`field`) or any value (`twice`). [`memo_fixture`] rewrites
+/// `root`.
+const CALL_MEMO: &str = r#"interface memo {
+    unit page;
+    ecv mix: uniform(0.5, 2.0);
+    fn root(x) { return x; }
+    fn leaf(a, b) { return a * b * 1 uJ + root(a + b) * 1 nJ; }
+    fn mid(a) { return leaf(a, 2) + leaf(a, 3); }
+    fn top(a) { return mid(a) + mid(a + 1); }
+    fn entry(n) {
+        let e = 0 J;
+        for i in 0..n { e = e + top(i % 3); }
+        return e;
+    }
+    fn probe(x) { return x * ecv(mix) * 1 uJ; }
+    fn relay(x) { return probe(x) + 1 nJ; }
+    fn sampled(n) { return entry(n) + probe(n) + relay(n) + probe(n); }
+    fn field(r) { return r.x * 1 uJ; }
+    fn by_field(r) { return field(r); }
+    fn twice(v) { return v + v; }
+    fn by_value(v) { return twice(v); }
+}"#;
+
+/// Depth of the deepest depth check below `entry`: `root`'s builtin call.
+const CHAIN_DEPTH: usize = 5;
+
+/// [`CALL_MEMO`] with `root(x)` returning `sqrt(x)`, `sqrt` reached by
+/// name as a call. Source text always parses a builtin as a builtin
+/// expression, so only a built AST has this shape; it depth-checks like a
+/// call, and the memo must count it in a callee's depth.
+fn memo_fixture() -> ei_core::interface::Interface {
+    use ei_core::ast::{Expr, Stmt};
+    let mut iface = parse(CALL_MEMO).unwrap();
+    iface.fns.get_mut("root").unwrap().body = vec![Stmt::Return(Expr::Call(
+        "sqrt".into(),
+        vec![Expr::var("x")],
+    ))];
+    iface
+}
+
+/// The tree-walk's outcome and fuel used, read from its telemetry.
+fn treewalk_with_fuel(
+    iface: &ei_core::interface::Interface,
+    func: &str,
+    args: &[Value],
+    cfg: &EvalConfig,
+) -> (String, u64) {
+    let session = telemetry::session();
+    let out = eval_with_assignment(iface, func, args, &BTreeMap::new(), cfg);
+    let fuel = session
+        .finish()
+        .histograms
+        .iter()
+        .find(|h| h.name == "core.interp.fuel_per_eval")
+        .expect("the tree-walk records its fuel")
+        .sum_ticks;
+    (format!("{out:?}"), fuel)
+}
+
+/// At every fuel limit up to the full run's and every depth limit around
+/// the chain's, a VM whose memo already holds every call of the query
+/// must fail where the tree-walk fails, or return what it returns, and
+/// report the same fuel used.
+#[test]
+fn call_memo_keeps_fuel_and_depth_boundaries() {
+    let iface = memo_fixture();
+    let program = compile(&iface).unwrap();
+    let args = [Value::Num(7.0)];
+    let ecvs = BTreeMap::new();
+    let tree = |fuel: u64, max_depth: usize| EvalConfig {
+        fuel,
+        max_depth,
+        mode: ExecMode::TreeWalk,
+        ..EvalConfig::default()
+    };
+    let full = tree(EvalConfig::default().fuel, EvalConfig::default().max_depth);
+    let (expect, full_fuel) = treewalk_with_fuel(&iface, "entry", &args, &full);
+    assert!(expect.starts_with("Ok("), "{expect}");
+
+    let mut machine = Vm::new(&program);
+    let warm = machine.run("entry", &args, &ecvs, &full);
+    assert_eq!(format!("{warm:?}"), expect);
+    assert_eq!(machine.fuel_used(), full_fuel);
+
+    for max_depth in 0..=CHAIN_DEPTH + 1 {
+        for fuel in 0..=full_fuel {
+            let cfg = tree(fuel, max_depth);
+            let (oracle, oracle_fuel) = treewalk_with_fuel(&iface, "entry", &args, &cfg);
+            let got = machine.run("entry", &args, &ecvs, &cfg);
+            assert_eq!(
+                oracle,
+                format!("{got:?}"),
+                "outcome diverges at fuel {fuel}, depth {max_depth}"
+            );
+            assert_eq!(
+                oracle_fuel,
+                machine.fuel_used(),
+                "fuel used diverges at fuel {fuel}, depth {max_depth}"
+            );
+        }
+    }
+}
+
+/// A callee that reads an ECV, directly or through a callee, is
+/// re-executed under every assignment: a Monte Carlo over a continuous
+/// ECV matches the tree-walk sample for sample, at 1, 2 and 4 threads.
+#[test]
+fn ecv_reading_callees_follow_every_assignment() {
+    let iface = memo_fixture();
+    let env = EcvEnv::from_decls(&iface.ecvs);
+    let args = [Value::Num(4.0)];
+    let n = 256; // 4 chunks
+    let run = |mode: ExecMode, threads: usize| {
+        let cfg = EvalConfig {
+            mode,
+            ..EvalConfig::default()
+        };
+        monte_carlo_par(&iface, "sampled", &args, &env, n, 3, threads, &cfg).unwrap()
+    };
+    let oracle = run(ExecMode::TreeWalk, 1);
+    for threads in [1, 2, 4] {
+        let compiled = run(ExecMode::Compiled, threads);
+        assert_eq!(
+            oracle, compiled,
+            "compiled samples diverge at {threads} threads"
+        );
+    }
+    let mut distinct: Vec<u64> = oracle
+        .to_samples()
+        .iter()
+        .map(|e| e.as_joules().to_bits())
+        .collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(
+        distinct.len(),
+        n,
+        "the fixture's samples must vary with `mix`"
+    );
+}
+
+/// Arguments that differ only in a record field, only in an abstract-unit
+/// amount, or only in kind (`2` against `2 J`, a subnormal against `true`,
+/// a zero-amount unit entry against none) never share a memo entry.
+#[test]
+fn call_memo_never_conflates_argument_kinds() {
+    let iface = memo_fixture();
+    let program = compile(&iface).unwrap();
+    let ecvs = BTreeMap::new();
+    let tree = EvalConfig {
+        mode: ExecMode::TreeWalk,
+        ..EvalConfig::default()
+    };
+    let zero_page = EnergyVec {
+        joules: 2.0,
+        abstracts: [("page".to_string(), 0.0)].into_iter().collect(),
+    };
+    let cases = [
+        ("by_field", Value::num_record([("x", 1.0)])),
+        ("by_field", Value::num_record([("x", 2.0)])),
+        ("by_value", Value::Energy(EnergyVec::from_unit("page", 1.0))),
+        ("by_value", Value::Energy(EnergyVec::from_unit("page", 2.0))),
+        ("by_value", Value::Num(2.0)),
+        ("by_value", Value::joules(2.0)),
+        ("by_value", Value::Energy(zero_page)),
+        ("by_value", Value::Num(f64::from_bits(1))),
+        ("by_value", Value::Bool(true)),
+    ];
+    let mut machine = Vm::new(&program);
+    // The second pass meets every key the first one stored.
+    for pass in 0..2 {
+        for (func, arg) in &cases {
+            let args = [arg.clone()];
+            let oracle = eval_with_assignment(&iface, func, &args, &ecvs, &tree);
+            let got = machine.run(func, &args, &ecvs, &tree);
+            assert_eq!(
+                format!("{oracle:?}"),
+                format!("{got:?}"),
+                "pass {pass}: {func}({arg:?}) diverges"
+            );
         }
     }
 }
