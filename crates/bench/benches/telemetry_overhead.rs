@@ -9,9 +9,8 @@
 //! With `TELEMETRY_OVERHEAD_GATE=1` (the CI setting) it exits non-zero
 //! when the ratio exceeds 1.05.
 
+use std::hint::black_box;
 use std::time::Instant;
-
-use criterion::black_box;
 
 use ei_bench::table1::{fitted_gpt2_interface, predict};
 use ei_core::interface::Interface;

@@ -15,7 +15,7 @@
 
 use ei_core::cache::EvalCache;
 use ei_core::ecv::EcvEnv;
-use ei_core::interp::{monte_carlo_par, EvalConfig, ExecMode};
+use ei_core::interp::{monte_carlo_par, EvalConfig};
 use ei_core::parser::parse;
 use ei_core::units::TimeSpan;
 use ei_hw::faults::{Fault, FaultPlan};
@@ -291,10 +291,7 @@ pub fn mc_thread_validation(seed: u64) -> McValidation {
     )
     .expect("noise interface parses");
     let env = EcvEnv::from_decls(&iface.ecvs);
-    let cfg = EvalConfig {
-        mode: ExecMode::Auto,
-        ..EvalConfig::default()
-    };
+    let cfg = EvalConfig::default();
     let run = |threads: usize| {
         monte_carlo_par(&iface, "e_request", &[], &env, 65_536, seed, threads, &cfg)
             .expect("noise interface samples")

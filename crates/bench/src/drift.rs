@@ -23,7 +23,7 @@
 use ei_core::cache::EvalCache;
 use ei_core::ecv::EcvEnv;
 use ei_core::interface::Interface;
-use ei_core::interp::{monte_carlo_par, EvalConfig, ExecMode};
+use ei_core::interp::{monte_carlo_par, EvalConfig};
 use ei_core::registry::RegistryStats;
 use ei_core::units::{Calibration, TimeSpan};
 use ei_core::value::Value;
@@ -422,7 +422,6 @@ pub fn mc_recal_validation(
 ) -> McValidation {
     let env = EcvEnv::from_decls(&iface.ecvs);
     let cfg = EvalConfig {
-        mode: ExecMode::Auto,
         calibration: calibration.clone(),
         ..EvalConfig::default()
     };

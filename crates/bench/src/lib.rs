@@ -2,8 +2,9 @@
 //!
 //! One module (and one binary) per paper table/figure and per motivating
 //! experiment — see DESIGN.md's experiment index. The binaries print the
-//! same rows the paper reports; the Criterion benches (in `benches/`)
-//! measure the machinery itself.
+//! same rows the paper reports. The machinery itself is measured by the
+//! separate `perfbench` harness; `benches/telemetry_overhead` gates the
+//! cost of telemetry collection.
 
 pub mod ablation;
 pub mod cluster;

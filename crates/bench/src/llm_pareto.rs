@@ -27,7 +27,7 @@ use ei_core::analysis::worst_case::worst_case;
 use ei_core::compose::link;
 use ei_core::ecv::EcvEnv;
 use ei_core::interface::{InputSpec, Interface};
-use ei_core::interp::{evaluate_energy, EvalConfig, ExecMode};
+use ei_core::interp::{evaluate_batch, EvalConfig};
 use ei_core::units::{Calibration, Energy};
 use ei_core::value::Value;
 use ei_extract::microbench::{fit_dvfs_scale, fit_gpu_model};
@@ -248,7 +248,6 @@ struct Predicted {
 fn predict_point(linked: &Interface, batch: u64, freq: f64, cfg: &E12Config) -> Predicted {
     let env = EcvEnv::new();
     let e_cfg = EvalConfig {
-        mode: ExecMode::Compiled,
         fuel: 400_000_000,
         ..EvalConfig::default()
     };
@@ -256,51 +255,38 @@ fn predict_point(linked: &Interface, batch: u64, freq: f64, cfg: &E12Config) -> 
         calibration: Calibration::from_pairs([("sec", Energy::joules(1.0))]),
         ..e_cfg.clone()
     };
-    let num = Value::Num;
-    let wave_j = evaluate_energy(
+    let (b, p, f) = (batch as f64, cfg.prompt_len as f64, freq);
+    let num = |xs: &[f64]| xs.iter().copied().map(Value::Num).collect::<Vec<_>>();
+    let wave_j = evaluate_batch(
         linked,
         "e_wave",
-        &[
-            num(batch as f64),
-            num(cfg.prompt_len as f64),
-            num(cfg.gen_len as f64),
-            num(freq),
-        ],
+        &[num(&[b, p, cfg.gen_len as f64, f])],
         &env,
         0,
         &e_cfg,
     )
-    .expect("e_wave evaluates")
-    .as_joules();
+    .expect("e_wave evaluates")[0]
+        .as_joules();
 
     // The predicted token-latency pool of one wave: every sequence's first
     // token arrives with the prefill iteration, each later token with its
     // decode iteration.
-    let t_eval = |f: &str, args: &[Value]| {
-        evaluate_energy(linked, f, args, &env, 0, &t_cfg)
+    let t_eval_ms = |func: &str, argsets: &[Vec<Value>]| -> Vec<f64> {
+        evaluate_batch(linked, func, argsets, &env, 0, &t_cfg)
             .expect("duration evaluates")
-            .as_joules()
+            .iter()
+            .map(|e| e.as_joules() * 1e3)
+            .collect()
     };
+    let decode_argsets: Vec<Vec<Value>> = (1..cfg.gen_len)
+        .map(|t| num(&[b, (cfg.prompt_len + t) as f64, f]))
+        .collect();
     let mut pool_ms = Vec::new();
-    let prefill_s = t_eval(
-        "t_prefill_iter",
-        &[num(batch as f64), num(cfg.prompt_len as f64), num(freq)],
-    );
-    for _ in 0..batch {
-        pool_ms.push(prefill_s * 1e3);
-    }
-    for t in 1..cfg.gen_len {
-        let step_s = t_eval(
-            "t_decode_iter",
-            &[
-                num(batch as f64),
-                num((cfg.prompt_len + t) as f64),
-                num(freq),
-            ],
-        );
-        for _ in 0..batch {
-            pool_ms.push(step_s * 1e3);
-        }
+    for ms in t_eval_ms("t_prefill_iter", &[num(&[b, p, f])])
+        .into_iter()
+        .chain(t_eval_ms("t_decode_iter", &decode_argsets))
+    {
+        pool_ms.resize(pool_ms.len() + batch as usize, ms);
     }
     Predicted {
         j_per_token: wave_j / (batch * cfg.gen_len) as f64,

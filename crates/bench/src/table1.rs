@@ -14,7 +14,7 @@
 use ei_core::compose::link;
 use ei_core::ecv::EcvEnv;
 use ei_core::interface::Interface;
-use ei_core::interp::{evaluate_batch, EvalConfig, ExecMode};
+use ei_core::interp::{evaluate_batch, EvalConfig};
 use ei_core::units::Energy;
 
 use ei_core::value::Value;
@@ -74,19 +74,8 @@ pub fn predict(linked: &Interface, prompt: u64, gen: u64) -> Energy {
 
 /// Predicts `e_generate` for a whole sweep in one [`evaluate_batch`] call.
 pub fn predict_batch(linked: &Interface, points: &[(u64, u64)]) -> Vec<Energy> {
-    predict_batch_mode(linked, points, ExecMode::Auto)
-}
-
-/// [`predict_batch`] with an explicit engine — the CI engine gate
-/// (`vm_gate`) runs the sweep under both engines and diffs the results.
-pub fn predict_batch_mode(
-    linked: &Interface,
-    points: &[(u64, u64)],
-    mode: ExecMode,
-) -> Vec<Energy> {
     let cfg = EvalConfig {
         fuel: 400_000_000,
-        mode,
         ..EvalConfig::default()
     };
     let argsets: Vec<Vec<Value>> = points

@@ -682,10 +682,7 @@ mod tests {
             mode: ExecMode::TreeWalk,
             ..EvalConfig::default()
         };
-        let compiled = EvalConfig {
-            mode: ExecMode::Compiled,
-            ..EvalConfig::default()
-        };
+        let auto = EvalConfig::default();
         let env = EcvEnv::from_decls(&iface.ecvs);
         let args = [Value::Num(8.0)];
         let a = cache
@@ -694,7 +691,7 @@ mod tests {
         // Same key despite the different mode: engines are
         // result-identical, so the tree-walk answer is served.
         let b = cache
-            .evaluate_energy_cached(&iface, "cost", &args, &env, 9, &compiled)
+            .evaluate_energy_cached(&iface, "cost", &args, &env, 9, &auto)
             .unwrap();
         assert_eq!(a, b);
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });

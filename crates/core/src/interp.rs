@@ -2,10 +2,13 @@
 //!
 //! "A resource manager can execute the interface to know a priori the energy
 //! that the resource would consume if run with a particular workload" (§2).
-//! This module is that execution engine: a deterministic tree-walking
-//! evaluator with an explicit fuel budget (so any interface terminates), plus
-//! a Monte-Carlo driver and an exact enumerator that turn ECV-reading
-//! interfaces into [`EnergyDist`]s.
+//! This module is that execution engine's front door. Its drivers — Monte
+//! Carlo, batch evaluation and exact enumeration, which turn ECV-reading
+//! interfaces into [`EnergyDist`]s — compile the interface once per call
+//! and run it on the bytecode VM ([`crate::vm`]). Single-shot evaluation
+//! and [`ExecMode::TreeWalk`] run the deterministic tree-walking evaluator
+//! defined here, the memo-free reference the VM is held to. Both engines
+//! carry an explicit fuel budget, so any interface terminates.
 
 use std::collections::BTreeMap;
 
@@ -36,21 +39,20 @@ pub const DEFAULT_MAX_DEPTH: usize = 64;
 
 /// Which evaluation engine runs an interface.
 ///
-/// The tree-walk interpreter is the semantic reference; the bytecode VM
-/// ([`crate::vm`]) is a bit-identical compiled engine held to it by
-/// differential tests. Every mode produces the same values, errors, fuel
-/// boundaries, and telemetry.
+/// There is one production engine and one reference. Production code
+/// leaves this at its default; tests and benchmarks select the reference
+/// to check the engine against it. Both modes produce the same values,
+/// errors, fuel boundaries, and telemetry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Sampling drivers (`monte_carlo`, `evaluate_batch`,
-    /// `enumerate_exact`) compile once and amortize; single-shot
-    /// evaluation stays on the tree-walk, where compiling would cost more
-    /// than it saves.
+    /// The production engine. Sampling drivers (`monte_carlo`,
+    /// `evaluate_batch`, `enumerate_exact`) compile once per call and run
+    /// the bytecode VM; a compile error is the caller's error. Single-shot
+    /// evaluation walks the tree, where compiling would cost more than it
+    /// saves.
     #[default]
     Auto,
-    /// Always execute compiled bytecode; compilation errors surface.
-    Compiled,
-    /// Always walk the AST (the differential oracle).
+    /// Always walk the AST: the memo-free differential reference.
     TreeWalk,
 }
 
@@ -590,14 +592,6 @@ pub fn eval_with_assignment(
     ecvs: &BTreeMap<String, EcvValue>,
     config: &EvalConfig,
 ) -> Result<Value> {
-    if config.mode == ExecMode::Compiled {
-        // One-shot compiled evaluation; callers that evaluate repeatedly
-        // should go through a sampling driver or the eval cache, which
-        // amortize the compile.
-        let program = vm::compile(iface)?;
-        let mut machine = vm::Vm::new(&program);
-        return vm_eval(&mut machine, func, args, ecvs, config);
-    }
     let mut ev = Eval {
         iface,
         ecvs,
@@ -639,14 +633,13 @@ fn vm_eval(
     result
 }
 
-/// Resolves the engine for a sampling driver: compile once up front (and
-/// under [`ExecMode::Auto`], fall back to the tree-walk if compilation
-/// declines), or `None` to walk the tree per sample.
+/// Resolves the engine for a sampling driver: under [`ExecMode::Auto`],
+/// compile once up front (a compile error is the caller's error); under
+/// [`ExecMode::TreeWalk`], `None` to walk the tree per sample.
 fn prepare_engine(iface: &Interface, config: &EvalConfig) -> Result<Option<vm::Program>> {
     Ok(match config.mode {
         ExecMode::TreeWalk => None,
-        ExecMode::Compiled => Some(vm::compile(iface)?),
-        ExecMode::Auto => vm::compile(iface).ok(),
+        ExecMode::Auto => Some(vm::compile(iface)?),
     })
 }
 

@@ -1293,20 +1293,16 @@ mod tests {
         assert!(parse(&chain("+", MAX_NESTING - 2)).is_err());
         assert!(crate::sema::check(&at_limit).is_empty());
         let want = Value::joules(MAX_NESTING as f64 - 2.0);
-        for mode in [ExecMode::TreeWalk, ExecMode::Compiled] {
-            let config = EvalConfig {
-                mode,
-                ..EvalConfig::default()
-            };
-            let got = evaluate(
-                &at_limit,
-                "f",
-                &[Value::Num(1.0)],
-                &EcvEnv::new(),
-                0,
-                &config,
-            );
-            assert_eq!(got.unwrap(), want, "{mode:?}");
-        }
+        let config = EvalConfig {
+            mode: ExecMode::TreeWalk,
+            ..EvalConfig::default()
+        };
+        let args = [Value::Num(1.0)];
+        let walked = evaluate(&at_limit, "f", &args, &EcvEnv::new(), 0, &config);
+        assert_eq!(walked.unwrap(), want, "tree-walk");
+        let program = crate::vm::compile(&at_limit).unwrap();
+        let no_ecvs = std::collections::BTreeMap::new();
+        let ran = crate::vm::Vm::new(&program).run("f", &args, &no_ecvs, &config);
+        assert_eq!(ran.unwrap(), want, "vm");
     }
 }

@@ -54,10 +54,9 @@ impl BugReport {
 pub struct DetectorConfig {
     /// Relative tolerance, e.g. 0.15 flags when |measured/predicted−1| > 15 %.
     pub tolerance: f64,
-    /// Evaluator configuration (calibration, fuel, engine). The default
-    /// [`ei_core::interp::ExecMode::Auto`] lets the detector's sampling
-    /// sweeps run compiled bytecode; set
-    /// [`ei_core::interp::ExecMode::TreeWalk`] to force the oracle when
+    /// Evaluator configuration (calibration, fuel). The detector's
+    /// sampling sweeps run on the production engine, the bytecode VM; set
+    /// [`ei_core::interp::ExecMode::TreeWalk`] to run the reference when
     /// triaging a suspected engine divergence.
     pub eval: EvalConfig,
     /// Monte-Carlo samples when the ECV space is not finitely enumerable.

@@ -223,9 +223,9 @@ fn place_impl(
     let mut energy = Energy::ZERO;
     let mut assignments = Vec::new();
     let mut unplaced = 0;
-    // Single-shot candidate queries stay on the tree-walk engine under
-    // `ExecMode::Auto`; repeats across apps are absorbed by the energy
-    // cache rather than by compiling per call.
+    // Single-shot candidate queries stay on the tree-walk (the default
+    // engine does not compile a single evaluation); repeats across apps
+    // are absorbed by the energy cache rather than by compiling per call.
     let cfg = EvalConfig::default();
     let env = EcvEnv::new();
     let cache = EvalCache::new();

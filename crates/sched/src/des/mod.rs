@@ -28,8 +28,8 @@
 //! from [`NodeView`]s, `target_active` names a powered-on node count per
 //! autoscale tick, `activation_order` fixes which nodes power on first.
 //! [`UtilizationLb`] is the energy-blind baseline; [`EnergyLb`] evaluates
-//! each node class's published interface (through `EvalCache` under
-//! `ExecMode::Auto`, so the bytecode VM carries the hot path) into
+//! each node class's published interface (through `EvalCache` on the
+//! production engine, so the bytecode VM carries the hot path) into
 //! marginal-energy tables and routes cheapest-Joules-within-SLO.
 
 mod node;

@@ -12,8 +12,8 @@
 //!   else.
 //! - [`EnergyLb`] — the paper's §1 resource manager: before the run it
 //!   evaluates every node class's **published energy interface** (through
-//!   [`EvalCache`] under `ExecMode::Auto`, so the bytecode VM carries the
-//!   evaluations) into marginal-energy tables, routes each request to the
+//!   [`EvalCache`] on the production engine, so the bytecode VM carries
+//!   the evaluations) into marginal-energy tables, routes each request to the
 //!   candidate whose interface predicts the cheapest marginal Joules
 //!   within the latency SLO, and activates nodes cheapest-per-request
 //!   first. It sees the same timing the baseline sees **plus** the
@@ -22,7 +22,7 @@
 use ei_core::cache::EvalCache;
 use ei_core::ecv::EcvEnv;
 use ei_core::interface::Interface;
-use ei_core::interp::{evaluate_batch, EvalConfig, ExecMode};
+use ei_core::interp::{evaluate_batch, EvalConfig};
 use ei_core::value::Value;
 use ei_telemetry as telemetry;
 
@@ -160,17 +160,14 @@ pub struct EnergyLb {
 }
 
 /// Evaluates one marginal-energy table and `p_active_w` per interface,
-/// through `cache` under [`ExecMode::Auto`] (the bytecode VM carries the
+/// through `cache` (the production engine, the bytecode VM, carries the
 /// sweeps). Shared by construction and live swaps so both paths produce
 /// bit-identical tables for identical interfaces.
 fn evaluate_tables(
     interfaces: &[Interface],
     cache: &EvalCache,
 ) -> (Vec<Vec<[f64; N_REQ_CLASSES]>>, Vec<f64>) {
-    let cfg = EvalConfig {
-        mode: ExecMode::Auto,
-        ..EvalConfig::default()
-    };
+    let cfg = EvalConfig::default();
     let env = EcvEnv::new();
     let mut marginal = Vec::with_capacity(interfaces.len());
     let mut p_active = Vec::with_capacity(interfaces.len());
@@ -221,7 +218,7 @@ fn activation_order_for(
 impl EnergyLb {
     /// Evaluates every class interface into routing tables.
     ///
-    /// All evaluation goes through `cache` with [`ExecMode::Auto`]:
+    /// All evaluation goes through `cache` on the production engine:
     /// `evaluate_batch` compiles each interface once to bytecode and the
     /// VM sweeps the queue-depth × request-class grid; `p_active_w` is a
     /// memoized single query. The hot routing path is then pure table

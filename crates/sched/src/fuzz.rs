@@ -129,10 +129,9 @@ pub struct PlanAnswer {
 ///
 /// The whole sweep is one [`evaluate_batch`] call: the per-call setup
 /// (assignment sampling, calibration interning) is paid once for all
-/// `max_machines` candidate counts instead of per candidate. Under the
-/// default [`ei_core::interp::ExecMode::Auto`] the batch driver also
-/// compiles the campaign interface to bytecode once and runs every
-/// candidate count on the VM, so widening the sweep is cheap.
+/// `max_machines` candidate counts instead of per candidate. The batch
+/// driver also compiles the campaign interface to bytecode once and runs
+/// every candidate count on the VM, so widening the sweep is cheap.
 pub fn plan(campaign: &FuzzCampaign, target: f64, max_machines: u32) -> PlanAnswer {
     let iface = campaign.interface();
     let cfg = EvalConfig::default();

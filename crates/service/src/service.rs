@@ -304,21 +304,21 @@ mod tests {
         )
         .unwrap();
         // The Fig. 1 validation must not depend on the engine: the
-        // compiled bytecode VM has to reproduce the enumerated
+        // tree-walk reference has to reproduce the VM's enumerated
         // distribution exactly.
-        let compiled = enumerate_exact(
+        let reference = enumerate_exact(
             &iface,
             "handle",
             std::slice::from_ref(&req),
             &EcvEnv::from_decls(&iface.ecvs),
             64,
             &EvalConfig {
-                mode: ExecMode::Compiled,
+                mode: ExecMode::TreeWalk,
                 ..cfg.clone()
             },
         )
         .unwrap();
-        assert_eq!(dist, compiled, "engines diverge on the Fig. 1 interface");
+        assert_eq!(dist, reference, "engines diverge on the Fig. 1 interface");
         let predicted = dist.mean();
         let measured = svc.mean_request_energy();
         let rel = (predicted.as_joules() - measured.as_joules()).abs() / measured.as_joules();

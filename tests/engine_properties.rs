@@ -1034,7 +1034,7 @@ fn memo_runs(
 ) -> Vec<(String, ei_core::Result<EnergyDist>)> {
     let args = [Value::Num(2.0)];
     let mut runs = Vec::new();
-    for mode in [ExecMode::Compiled, ExecMode::TreeWalk] {
+    for mode in [ExecMode::Auto, ExecMode::TreeWalk] {
         let cfg = EvalConfig {
             mode,
             ..cfg.clone()

@@ -28,6 +28,7 @@ use ei_core::ecv::{EcvEnv, EcvValue};
 use ei_core::interface::InputSpec;
 use ei_core::interp::{
     eval_with_assignment, evaluate_batch, monte_carlo, monte_carlo_par, EvalConfig, ExecMode,
+    MC_CHUNK,
 };
 use ei_core::parser::parse;
 use ei_core::units::{Calibration, Energy, EnergyVec};
@@ -81,21 +82,18 @@ proptest! {
         mix in 0.0f64..4.0,
     ) {
         let ecvs = assignment(hot, mix);
+        let cfg = config(&iface, ExecMode::TreeWalk);
+        let program = compile(&iface).expect("generated interface compiles");
         for func in ["entry", "work", "top"] {
-            let oracle = eval_with_assignment(
-                &iface, func, &[Value::Num(z)], &ecvs,
-                &config(&iface, ExecMode::TreeWalk),
-            );
-            let machine = eval_with_assignment(
-                &iface, func, &[Value::Num(z)], &ecvs,
-                &config(&iface, ExecMode::Compiled),
-            );
+            let args = [Value::Num(z)];
+            let oracle = eval_with_assignment(&iface, func, &args, &ecvs, &cfg);
+            let machine = Vm::new(&program).run(func, &args, &ecvs, &cfg);
             prop_assert_eq!(
                 format!("{oracle:?}"),
                 format!("{machine:?}"),
                 "vm diverges on `{}`:\n{}",
                 func,
-                ei_core::vm::disassemble(&ei_core::vm::compile(&iface).unwrap()),
+                ei_core::vm::disassemble(&program),
             );
         }
     }
@@ -113,11 +111,12 @@ proptest! {
         let ecvs = assignment(hot, mix);
         let mut budgets: Vec<u64> = (0..12).map(|i| (1u64 << i) - 1).collect();
         budgets.push(EvalConfig::default().fuel);
+        let program = compile(&iface).expect("generated interface compiles");
+        let args = [Value::Num(z)];
         for fuel in budgets {
-            let tree = EvalConfig { fuel, ..config(&iface, ExecMode::TreeWalk) };
-            let oracle = eval_with_assignment(&iface, "entry", &[Value::Num(z)], &ecvs, &tree);
-            let comp = EvalConfig { fuel, ..config(&iface, ExecMode::Compiled) };
-            let machine = eval_with_assignment(&iface, "entry", &[Value::Num(z)], &ecvs, &comp);
+            let cfg = EvalConfig { fuel, ..config(&iface, ExecMode::TreeWalk) };
+            let oracle = eval_with_assignment(&iface, "entry", &args, &ecvs, &cfg);
+            let machine = Vm::new(&program).run("entry", &args, &ecvs, &cfg);
             prop_assert_eq!(
                 format!("{oracle:?}"),
                 format!("{machine:?}"),
@@ -150,8 +149,8 @@ proptest! {
         };
 
         let (oracle, oracle_trace) = run(ExecMode::TreeWalk, 0);
-        let (compiled, compiled_trace) = run(ExecMode::Compiled, 0);
-        match (&oracle, &compiled) {
+        let (auto, auto_trace) = run(ExecMode::Auto, 0);
+        match (&oracle, &auto) {
             (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "serial MC distributions diverge"),
             (a, b) => prop_assert_eq!(
                 format!("{a:?}"),
@@ -161,7 +160,7 @@ proptest! {
         }
         prop_assert_eq!(
             oracle_trace.to_json_pretty(),
-            compiled_trace.to_json_pretty(),
+            auto_trace.to_json_pretty(),
             "serial traces reveal the engine"
         );
 
@@ -169,7 +168,7 @@ proptest! {
         // when there is no error at all, so the thread-count comparison
         // runs on the success path (as in telemetry_differential.rs).
         if let Ok(expect) = &oracle {
-            for (mode, label) in [(ExecMode::TreeWalk, "tree-walk"), (ExecMode::Compiled, "vm")] {
+            for (mode, label) in [(ExecMode::TreeWalk, "tree-walk"), (ExecMode::Auto, "vm")] {
                 for threads in [1, 8] {
                     let (dist, trace) = run(mode, threads);
                     let dist = dist.expect("serial run succeeded");
@@ -187,8 +186,8 @@ proptest! {
         }
     }
 
-    /// Batch evaluation across modes, including `Auto` (which must pick
-    /// an engine without changing any byte of the answer).
+    /// Batch evaluation on the production engine matches the reference
+    /// to the last byte of the answer.
     #[test]
     fn batch_matches_oracle(iface in arb_vm_interface(), zs in proptest::collection::vec(0.0f64..2000.0, 1..6)) {
         let env = EcvEnv::from_decls(&iface.ecvs);
@@ -197,7 +196,6 @@ proptest! {
             format!("{:?}", evaluate_batch(&iface, "entry", &batch, &env, 11, &config(&iface, mode)))
         };
         let oracle = run(ExecMode::TreeWalk);
-        prop_assert_eq!(&oracle, &run(ExecMode::Compiled), "compiled batch diverges");
         prop_assert_eq!(&oracle, &run(ExecMode::Auto), "Auto batch diverges");
     }
 
@@ -206,13 +204,12 @@ proptest! {
     #[test]
     fn numeric_corpus_matches_oracle(iface in arb_numeric_interface(), x in arb_pos_float()) {
         let ecvs = BTreeMap::new();
+        let cfg = config(&iface, ExecMode::TreeWalk);
+        let program = compile(&iface).expect("generated interface compiles");
         for x in [x, 0.0, -x, -0.0] {
-            let oracle = eval_with_assignment(
-                &iface, "f", &[Value::Num(x)], &ecvs, &config(&iface, ExecMode::TreeWalk),
-            );
-            let machine = eval_with_assignment(
-                &iface, "f", &[Value::Num(x)], &ecvs, &config(&iface, ExecMode::Compiled),
-            );
+            let args = [Value::Num(x)];
+            let oracle = eval_with_assignment(&iface, "f", &args, &ecvs, &cfg);
+            let machine = Vm::new(&program).run("f", &args, &ecvs, &cfg);
             prop_assert_eq!(
                 format!("{oracle:?}"),
                 format!("{machine:?}"),
@@ -394,9 +391,9 @@ fn ecv_reading_callees_follow_every_assignment() {
     };
     let oracle = run(ExecMode::TreeWalk, 1);
     for threads in [1, 2, 4] {
-        let compiled = run(ExecMode::Compiled, threads);
+        let auto = run(ExecMode::Auto, threads);
         assert_eq!(
-            oracle, compiled,
+            oracle, auto,
             "compiled samples diverge at {threads} threads"
         );
     }
@@ -454,5 +451,62 @@ fn call_memo_never_conflates_argument_kinds() {
                 "pass {pass}: {func}({arg:?}) diverges"
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The Table 1 workload: the production engine against the reference.
+// ---------------------------------------------------------------------------
+
+/// Linked GPT-2 over the fitted RTX 4090 gives the same Joule bits on the
+/// production engine as on the reference: the batch driver over the whole
+/// Table 1 sweep, and the serial Monte-Carlo driver past one chunk at the
+/// sweep's smallest and largest points.
+#[test]
+fn table1_sweep_matches_the_reference() {
+    let (linked, _) = ei_bench::table1::fitted_gpt2_interface(&ei_hw::gpu::rtx4090());
+    let env = EcvEnv::new();
+    let cfg = |mode| EvalConfig {
+        fuel: 400_000_000,
+        mode,
+        ..EvalConfig::default()
+    };
+    let points = ei_bench::table1::sweep();
+    let argset = |(p, g): (u64, u64)| vec![Value::Num(p as f64), Value::Num(g as f64)];
+    let argsets: Vec<Vec<Value>> = points.iter().copied().map(argset).collect();
+    let bits = |mode| -> Vec<u64> {
+        evaluate_batch(&linked, "e_generate", &argsets, &env, 0, &cfg(mode))
+            .expect("the Table 1 sweep evaluates")
+            .iter()
+            .map(|e| e.as_joules().to_bits())
+            .collect()
+    };
+    assert_eq!(
+        bits(ExecMode::Auto),
+        bits(ExecMode::TreeWalk),
+        "evaluate_batch diverges on the Table 1 sweep"
+    );
+
+    let ends = [points[0], points[points.len() - 1]];
+    assert_eq!(ends, [(8, 25), (64, 200)]);
+    for point in ends {
+        let args = argset(point);
+        let mc = |mode| {
+            monte_carlo(
+                &linked,
+                "e_generate",
+                &args,
+                &env,
+                MC_CHUNK + 1,
+                7,
+                &cfg(mode),
+            )
+            .expect("the Table 1 point samples")
+        };
+        assert_eq!(
+            mc(ExecMode::Auto),
+            mc(ExecMode::TreeWalk),
+            "monte_carlo diverges at e_generate{point:?}"
+        );
     }
 }

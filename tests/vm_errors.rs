@@ -14,10 +14,10 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use ei_core::ast::{Builtin, Expr, FnDef, Stmt};
 use ei_core::ecv::EcvValue;
-use ei_core::error::Error;
 use ei_core::interface::Interface;
 use ei_core::interp::{eval_builtin, eval_with_assignment, EvalConfig, ExecMode};
 use ei_core::value::Value;
+use ei_core::vm::{compile, Vm};
 
 /// One seeded failure: fixture stem, entry function, arguments, fuel
 /// budget, and the error variant the seed is expected to produce.
@@ -98,21 +98,22 @@ fn load(stem: &str) -> Interface {
     ei_core::parser::parse(&src).unwrap_or_else(|e| panic!("{stem}: fixture must parse: {e}"))
 }
 
-fn run(iface: &Interface, s: &Seed, mode: ExecMode) -> Result<Value, Error> {
-    let cfg = EvalConfig {
+fn seed_config(s: &Seed) -> EvalConfig {
+    EvalConfig {
         fuel: s.fuel,
-        mode,
+        mode: ExecMode::TreeWalk,
         ..EvalConfig::default()
-    };
-    eval_with_assignment(iface, s.func, &s.args, &BTreeMap::new(), &cfg)
+    }
 }
 
 #[test]
 fn runtime_error_corpus_matches_across_engines() {
     for s in corpus() {
         let iface = load(s.stem);
-        let oracle = run(&iface, &s, ExecMode::TreeWalk);
-        let machine = run(&iface, &s, ExecMode::Compiled);
+        let cfg = seed_config(&s);
+        let oracle = eval_with_assignment(&iface, s.func, &s.args, &BTreeMap::new(), &cfg);
+        let program = compile(&iface).unwrap_or_else(|e| panic!("{}: compiles: {e}", s.stem));
+        let machine = Vm::new(&program).run(s.func, &s.args, &BTreeMap::new(), &cfg);
 
         let err = match (&oracle, &machine) {
             (Err(a), Err(b)) => {
@@ -215,8 +216,14 @@ fn builtin_dispatch_has_one_table() {
     const SMALL: [f64; 5] = [0.0, -0.0, 1.0, -1.0, f64::MAX];
 
     let ecvs = BTreeMap::<String, EcvValue>::new();
+    let cfg = EvalConfig {
+        mode: ExecMode::TreeWalk,
+        ..EvalConfig::default()
+    };
     for b in Builtin::ALL {
         let iface = builtin_iface(b);
+        let program = compile(&iface).expect("builtin interface compiles");
+        let mut machine = Vm::new(&program);
         let tuples: Vec<Vec<f64>> = match b.arity() {
             1 => BOUNDARY.iter().map(|x| vec![*x]).collect(),
             2 => BOUNDARY
@@ -236,19 +243,13 @@ fn builtin_dispatch_has_one_table() {
         for tuple in tuples {
             let args: Vec<Value> = tuple.iter().map(|v| Value::Num(*v)).collect();
             let table = format!("{:?}", eval_builtin(b, &args));
-            for mode in [ExecMode::TreeWalk, ExecMode::Compiled] {
-                let cfg = EvalConfig {
-                    mode,
-                    ..EvalConfig::default()
-                };
-                let got = format!(
-                    "{:?}",
-                    eval_with_assignment(&iface, "f", &args, &ecvs, &cfg)
-                );
+            let walked = eval_with_assignment(&iface, "f", &args, &ecvs, &cfg);
+            let ran = machine.run("f", &args, &ecvs, &cfg);
+            for (engine, got) in [("tree-walk", walked), ("vm", ran)] {
                 assert_eq!(
                     table,
-                    got,
-                    "{}({tuple:?}) via {mode:?} drifts from the shared table",
+                    format!("{got:?}"),
+                    "{}({tuple:?}) via {engine} drifts from the shared table",
                     b.name()
                 );
             }

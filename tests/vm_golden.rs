@@ -164,22 +164,17 @@ fn golden_programs_execute_identically_on_both_engines() {
             .into_iter()
             .map(|(n, b)| (n.to_string(), ei_core::ecv::EcvValue::Bool(b)))
             .collect();
-        let run = |mode: ExecMode| {
-            let cfg = EvalConfig {
-                mode,
-                ..EvalConfig::default()
-            };
-            format!(
-                "{:?}",
-                eval_with_assignment(&iface, func, &args, &ecvs, &cfg)
-            )
+        let cfg = EvalConfig {
+            mode: ExecMode::TreeWalk,
+            ..EvalConfig::default()
         };
-        let oracle = run(ExecMode::TreeWalk);
-        assert_eq!(
-            oracle,
-            run(ExecMode::Compiled),
-            "{stem}.{func}: engines diverge"
+        let oracle = format!(
+            "{:?}",
+            eval_with_assignment(&iface, func, &args, &ecvs, &cfg)
         );
+        let program = ei_core::vm::compile(&iface).unwrap();
+        let ran = ei_core::vm::Vm::new(&program).run(func, &args, &ecvs, &cfg);
+        assert_eq!(oracle, format!("{ran:?}"), "{stem}.{func}: engines diverge");
         assert!(
             oracle.starts_with("Ok("),
             "{stem}.{func}: golden program fails to execute: {oracle}"
