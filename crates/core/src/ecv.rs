@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use rand::Rng;
+use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
 use crate::error::{Error, Result};
@@ -71,6 +71,12 @@ impl DistSpec {
                 if outcomes.is_empty() {
                     return bad("discrete distribution needs at least one outcome");
                 }
+                if outcomes
+                    .iter()
+                    .any(|(v, p)| !v.is_finite() || !p.is_finite())
+                {
+                    return bad("discrete values and probabilities must be finite");
+                }
                 let total: f64 = outcomes.iter().map(|(_, p)| p).sum();
                 if outcomes.iter().any(|(_, p)| *p < 0.0) {
                     return bad("discrete probabilities must be non-negative");
@@ -100,28 +106,59 @@ impl DistSpec {
 
     /// Draws one sample from the distribution.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> EcvValue {
+        self.sample_indexed(rng).0
+    }
+
+    /// Draws one sample together with its index in [`DistSpec::support`]
+    /// (always 0 for `Uniform` and `Normal`, which have no finite
+    /// support). This is the one definition of how a distribution
+    /// consumes the RNG: [`DistSpec::sample`] and [`EcvSampler::draw`]
+    /// both delegate here.
+    pub fn sample_indexed<R: RngCore + ?Sized>(&self, rng: &mut R) -> (EcvValue, usize) {
         match self {
-            DistSpec::Bernoulli { p } => EcvValue::Bool(rng.random::<f64>() < *p),
+            DistSpec::Bernoulli { p } => {
+                // `support()` lists `true` first.
+                let hit = rng.random::<f64>() < *p;
+                (EcvValue::Bool(hit), usize::from(!hit))
+            }
             DistSpec::Discrete { outcomes } => {
                 let mut u: f64 = rng.random();
-                for (v, p) in outcomes {
+                for (i, (v, p)) in outcomes.iter().enumerate() {
                     if u < *p {
-                        return EcvValue::Num(*v);
+                        return (EcvValue::Num(*v), i);
                     }
                     u -= p;
                 }
                 // Numeric slack: fall back to the final outcome.
-                EcvValue::Num(outcomes.last().map(|(v, _)| *v).unwrap_or(0.0))
+                match outcomes.last() {
+                    Some((v, _)) => (EcvValue::Num(*v), outcomes.len() - 1),
+                    None => (EcvValue::Num(0.0), 0),
+                }
             }
-            DistSpec::Uniform { lo, hi } => EcvValue::Num(lo + (hi - lo) * rng.random::<f64>()),
+            DistSpec::Uniform { lo, hi } => {
+                (EcvValue::Num(lo + (hi - lo) * rng.random::<f64>()), 0)
+            }
             DistSpec::Normal { mean, std_dev } => {
                 // Box–Muller transform; `u1` kept away from 0 for a finite log.
                 let u1: f64 = rng.random::<f64>().max(1e-300);
                 let u2: f64 = rng.random();
                 let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-                EcvValue::Num(mean + std_dev * z)
+                (EcvValue::Num(mean + std_dev * z), 0)
             }
-            DistSpec::Point { value } => EcvValue::Num(*value),
+            DistSpec::Point { value } => (EcvValue::Num(*value), 0),
+        }
+    }
+
+    /// How many distinct indices [`DistSpec::sample_indexed`] can return:
+    /// the size of the finite support, or `None` for `Uniform`/`Normal`.
+    /// An empty `Discrete` (invalid, but constructible) draws index 0, so
+    /// it counts as 1.
+    fn index_count(&self) -> Option<usize> {
+        match self {
+            DistSpec::Bernoulli { .. } => Some(2),
+            DistSpec::Discrete { outcomes } => Some(outcomes.len().max(1)),
+            DistSpec::Point { .. } => Some(1),
+            DistSpec::Uniform { .. } | DistSpec::Normal { .. } => None,
         }
     }
 
@@ -319,30 +356,43 @@ impl EcvEnv {
         out
     }
 
-    /// Draws one complete assignment into `slots`: one value per declared
-    /// ECV in name order, consuming the RNG exactly as
-    /// [`EcvEnv::sample_assignment`] does. Sampling loops reuse `slots`
-    /// across draws and build the named map only when they need it
-    /// ([`EcvEnv::assignment_from_slots`]).
-    pub fn sample_slots<R: Rng + ?Sized>(&self, rng: &mut R, slots: &mut Vec<EcvValue>) {
-        slots.clear();
-        slots.extend(
-            self.decls
-                .iter()
-                .map(|(name, decl)| match self.pinned.get(name) {
-                    Some(v) => *v,
-                    None => decl.dist.sample(rng),
-                }),
-        );
+    /// The slot of `name` in an [`EcvSampler`] built from this
+    /// environment (its position among the declared names), if declared.
+    pub(crate) fn slot_of(&self, name: &str) -> Option<usize> {
+        self.decls.keys().position(|k| k == name)
     }
 
-    /// The named assignment for `slots` filled by [`EcvEnv::sample_slots`].
-    pub fn assignment_from_slots(&self, slots: &[EcvValue]) -> BTreeMap<String, EcvValue> {
-        self.decls
-            .keys()
-            .cloned()
-            .zip(slots.iter().copied())
-            .collect()
+    /// Flattens the environment for a sampling loop; see [`EcvSampler`].
+    pub fn sampler(&self) -> EcvSampler<'_> {
+        let sources: Vec<_> = self
+            .decls
+            .iter()
+            .map(|(name, decl)| match self.pinned.get(name) {
+                Some(v) => (Source::Pinned(*v), Some(1)),
+                None => (Source::Drawn(&decl.dist), decl.dist.index_count()),
+            })
+            .collect();
+        let space = sources
+            .iter()
+            .try_fold(1usize, |n, (_, size)| n.checked_mul((*size)?));
+        // Mixed radix, first slot most significant; all zero (every draw
+        // is index 0) when the space is not finite.
+        let mut strides = vec![0; sources.len()];
+        if space.is_some() {
+            let mut stride = 1;
+            for (s, (_, size)) in strides.iter_mut().zip(&sources).rev() {
+                *s = stride;
+                stride *= size.unwrap_or(1);
+            }
+        }
+        EcvSampler {
+            slots: sources
+                .into_iter()
+                .zip(strides)
+                .map(|((source, _), stride)| Slot { source, stride })
+                .collect(),
+            space,
+        }
     }
 
     /// Enumerates every assignment over the unpinned finite-support ECVs.
@@ -386,6 +436,73 @@ impl EcvEnv {
             space = next;
         }
         Ok(space)
+    }
+}
+
+/// An [`EcvEnv`] flattened once per sampling call: one slot per declared
+/// ECV in name order, pins resolved, names dropped. A draw walks a flat
+/// slice instead of the environment's maps, and also returns the
+/// assignment's index in the finite assignment space, so a caller can
+/// memoize per assignment without hashing it.
+#[derive(Debug, Clone)]
+pub struct EcvSampler<'e> {
+    slots: Vec<Slot<'e>>,
+    space: Option<usize>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Slot<'e> {
+    source: Source<'e>,
+    /// Weight of this slot's support index in the assignment index.
+    stride: usize,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Source<'e> {
+    Pinned(EcvValue),
+    Drawn(&'e DistSpec),
+}
+
+impl EcvSampler<'_> {
+    /// Number of slots, i.e. declared ECVs.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether the environment declares no ECV.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// The number of distinct assignments a draw can produce: the product
+    /// of the slots' support sizes (a pinned slot counts 1). `None` when a
+    /// slot is continuous or the product overflows `usize`.
+    pub fn space(&self) -> Option<usize> {
+        self.space
+    }
+
+    /// Draws one complete assignment into `values`, one value per slot in
+    /// name order, consuming the RNG exactly as
+    /// [`EcvEnv::sample_assignment`] does. Returns the assignment's
+    /// mixed-radix index below [`EcvSampler::space`]: two draws get the
+    /// same index exactly when every slot drew the same support index.
+    /// When the space is not finite the index is always 0.
+    ///
+    /// # Panics
+    ///
+    /// If `values.len()` differs from [`EcvSampler::len`].
+    pub fn draw<R: RngCore + ?Sized>(&self, rng: &mut R, values: &mut [EcvValue]) -> usize {
+        assert_eq!(values.len(), self.slots.len(), "one value per slot");
+        let mut index = 0;
+        for (slot, out) in self.slots.iter().zip(values) {
+            let (v, i) = match slot.source {
+                Source::Pinned(v) => (v, 0),
+                Source::Drawn(dist) => dist.sample_indexed(rng),
+            };
+            *out = v;
+            index += i * slot.stride;
+        }
+        index
     }
 }
 
@@ -474,6 +591,34 @@ mod tests {
         .validate("x")
         .is_err());
         assert!(DistSpec::Point { value: 3.0 }.validate("x").is_ok());
+    }
+
+    /// `1e999` lexes to infinity; a `Discrete` used to accept it (and NaN)
+    /// and then report an infinite expected energy.
+    #[test]
+    fn discrete_validation_rejects_non_finite_outcomes() {
+        for outcomes in [
+            vec![(f64::INFINITY, 0.5), (2.0, 0.5)],
+            vec![(f64::NEG_INFINITY, 1.0)],
+            vec![(f64::NAN, 0.5), (2.0, 0.5)],
+            vec![(1.0, f64::NAN), (2.0, 1.0)],
+            vec![(1.0, f64::INFINITY), (2.0, f64::NEG_INFINITY)],
+        ] {
+            let err = DistSpec::Discrete {
+                outcomes: outcomes.clone(),
+            }
+            .validate("x")
+            .unwrap_err();
+            assert!(
+                matches!(&err, Error::BadDistribution { msg, .. } if msg.contains("finite")),
+                "{outcomes:?}: {err}"
+            );
+        }
+        assert!(DistSpec::Discrete {
+            outcomes: vec![(1e300, 0.5), (-1e300, 0.5)]
+        }
+        .validate("x")
+        .is_ok());
     }
 
     #[test]

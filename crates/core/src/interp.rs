@@ -20,7 +20,7 @@ use telemetry::SpanKind;
 
 use crate::ast::{BinOp, Builtin, Expr, FnDef, Stmt, UnOp};
 use crate::dist::EnergyDist;
-use crate::ecv::{EcvEnv, EcvValue};
+use crate::ecv::{EcvEnv, EcvSampler, EcvValue};
 use crate::error::{Error, NameKind, Result};
 use crate::interface::Interface;
 use crate::units::{Calibration, Energy, EnergyVec, InternedCalibration};
@@ -613,15 +613,16 @@ pub fn eval_with_assignment(
 
 /// Runs one compiled evaluation with the same telemetry as the
 /// tree-walk's [`eval_with_assignment`] — the trace must not reveal which
-/// engine ran.
+/// engine ran. `ecv` loads the program's ECV slots (see
+/// `vm::Vm::run_with`).
 fn vm_eval(
     machine: &mut vm::Vm<'_>,
     func: &str,
     args: &[Value],
-    ecvs: &BTreeMap<String, EcvValue>,
     config: &EvalConfig,
+    ecv: impl FnMut(usize, &str) -> Option<EcvValue>,
 ) -> Result<Value> {
-    let result = machine.run(func, args, ecvs, config);
+    let result = machine.run_with(func, args, config, ecv);
     if telemetry::enabled() {
         telemetry::counter_add("core.interp.evals", 1);
         telemetry::observe_ticks(
@@ -699,11 +700,10 @@ pub fn mc_chunk_seed(seed: u64, chunk_index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Most distinct ECV assignments one [`AssignmentMemo`] remembers: the
-/// bound [`expected_energy`] puts on exact enumeration, so every space it
-/// would enumerate fits. Continuous ECVs never repeat, and the cap keeps
-/// their memo from growing with `n`. Past it, new assignments execute
-/// without being stored, which changes speed only.
+/// Largest ECV assignment space an [`AssignmentMemo`] covers: the bound
+/// [`expected_energy`] puts on exact enumeration, so every space it would
+/// enumerate fits. A larger space, or one with a continuous ECV, gets no
+/// memo and executes every sample, which changes speed only.
 const MEMO_CAP: usize = 4096;
 
 /// The compiled engine's state for one sampling call (one per worker under
@@ -713,63 +713,77 @@ const MEMO_CAP: usize = 4096;
 /// Evaluation is deterministic per assignment, so a repeated assignment
 /// replays its calibrated energy instead of re-executing. Bernoulli and
 /// discrete ECVs — and the no-ECV case — collapse to a handful of distinct
-/// assignments per call; continuous ECVs never repeat and pay only a hash
-/// probe. This memo and the VM's own call memo (see [`vm::Vm`]), not VM
-/// dispatch, are where most of the compiled Monte-Carlo speedup comes
-/// from; the call memo lives in `machine`, so it spans the same call. A
-/// hit re-emits the run's telemetry (`core.interp.evals`,
-/// `core.interp.fuel_per_eval`), so the trace cannot reveal the reuse.
-/// Keys are the assignment's raw bits in name order; each ECV's value kind
-/// is fixed by its distribution, so bool/num encodings cannot collide
-/// positionally.
+/// assignments per call. The memo is dense: a table with one entry per
+/// assignment in the call's finite space, indexed by the mixed-radix index
+/// [`EcvSampler::draw`] returns, so a lookup is one bounds-checked load and
+/// hashes nothing. Continuous ECVs never repeat, so their calls (and spaces
+/// above [`MEMO_CAP`]) get an empty table and execute every sample. This
+/// memo and the VM's own call memo (see [`vm::Vm`]), not VM dispatch, are
+/// where most of the compiled Monte-Carlo speedup comes from; the call
+/// memo lives in `machine`, so it spans the same call. A hit re-emits the
+/// run's telemetry (`core.interp.evals`, `core.interp.fuel_per_eval`), so
+/// the trace cannot reveal the reuse.
 ///
 /// The tree-walk stays memo-free on purpose: it is the reference the
 /// memoized path is differentially tested against.
 struct AssignmentMemo<'p> {
     machine: vm::Vm<'p>,
-    seen: std::collections::HashMap<Vec<u64>, (Energy, u64)>,
-    slots: Vec<EcvValue>,
-    key: Vec<u64>,
+    /// Per program ECV slot, the sampler slot it reads (`None` when the
+    /// environment does not declare it).
+    binding: Vec<Option<usize>>,
+    /// The current draw, one value per sampler slot.
+    values: Vec<EcvValue>,
+    /// Calibrated energy and fuel used, per assignment index; empty when
+    /// the space is continuous or larger than [`MEMO_CAP`].
+    seen: Vec<Option<(Energy, u64)>>,
+    /// Samples that executed the program.
+    #[cfg(test)]
+    runs: u64,
 }
 
 impl<'p> AssignmentMemo<'p> {
-    fn new(program: &'p vm::Program) -> Self {
+    fn new(program: &'p vm::Program, call: &McCall<'_>) -> Self {
+        let space = call.sampler.space().filter(|&n| n <= MEMO_CAP);
         AssignmentMemo {
             machine: vm::Vm::new(program),
-            seen: std::collections::HashMap::new(),
-            slots: Vec::new(),
-            key: Vec::new(),
+            binding: program
+                .ecv_names
+                .iter()
+                .map(|name| call.env.slot_of(name))
+                .collect(),
+            values: vec![EcvValue::Bool(false); call.sampler.len()],
+            seen: vec![None; space.unwrap_or(0)],
+            #[cfg(test)]
+            runs: 0,
         }
     }
 
     /// Draws one assignment from `rng` and returns its calibrated energy,
     /// executing only if the assignment is new.
     fn sample(&mut self, call: &McCall<'_>, rng: &mut StdRng) -> Result<Energy> {
-        call.env.sample_slots(rng, &mut self.slots);
-        self.key.clear();
-        self.key.extend(self.slots.iter().map(|ev| match ev {
-            EcvValue::Bool(b) => *b as u64,
-            EcvValue::Num(x) => x.to_bits(),
-        }));
-        if let Some(&(e, fuel_used)) = self.seen.get(self.key.as_slice()) {
+        let index = call.sampler.draw(rng, &mut self.values);
+        if let Some(&Some((e, fuel_used))) = self.seen.get(index) {
             if telemetry::enabled() {
                 telemetry::counter_add("core.interp.evals", 1);
                 telemetry::observe_ticks("core.interp.fuel_per_eval", &telemetry::FUEL, fuel_used);
             }
             return Ok(e);
         }
-        let assignment = call.env.assignment_from_slots(&self.slots);
+        #[cfg(test)]
+        {
+            self.runs += 1;
+        }
+        let (binding, values) = (&self.binding, &self.values);
         let v = vm_eval(
             &mut self.machine,
             call.func,
             call.args,
-            &assignment,
             call.config,
+            |i, _| binding[i].map(|slot| values[slot]),
         )?;
         let e = v.into_energy()?.calibrate_interned(&call.cal)?;
-        if self.seen.len() < MEMO_CAP {
-            self.seen
-                .insert(self.key.clone(), (e, self.machine.fuel_used()));
+        if let Some(entry) = self.seen.get_mut(index) {
+            *entry = Some((e, self.machine.fuel_used()));
         }
         Ok(e)
     }
@@ -781,6 +795,8 @@ struct McCall<'a> {
     func: &'a str,
     args: &'a [Value],
     env: &'a EcvEnv,
+    /// `env` flattened once for the whole call.
+    sampler: EcvSampler<'a>,
     seed: u64,
     config: &'a EvalConfig,
     cal: InternedCalibration,
@@ -809,6 +825,7 @@ impl<'a> McCall<'a> {
             func,
             args,
             env,
+            sampler: env.sampler(),
             seed,
             config,
             cal: config.calibration.intern(),
@@ -880,7 +897,7 @@ pub fn monte_carlo(
 ) -> Result<EnergyDist> {
     let program = prepare_engine(iface, config)?;
     let (_sp, call) = McCall::open(iface, func, args, env, n, seed, config);
-    let mut memo = program.as_ref().map(AssignmentMemo::new);
+    let mut memo = program.as_ref().map(|p| AssignmentMemo::new(p, &call));
     let mut samples = Vec::with_capacity(n);
     for (chunk_index, start) in (0..n).step_by(MC_CHUNK).enumerate() {
         let len = MC_CHUNK.min(n - start);
@@ -935,7 +952,7 @@ pub fn monte_carlo_par(
             scope.spawn(move || {
                 // Record for the caller's telemetry session, if any.
                 telemetry::adopt(tag);
-                let mut memo = program.map(AssignmentMemo::new);
+                let mut memo = program.map(|p| AssignmentMemo::new(p, call));
                 loop {
                     let chunk_index = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     if chunk_index >= n_chunks {
@@ -994,7 +1011,9 @@ pub fn evaluate_batch(
     let mut out = Vec::with_capacity(argsets.len());
     for args in argsets {
         let v = match machine.as_mut() {
-            Some(m) => vm_eval(m, func, args, &assignment, config)?,
+            Some(m) => vm_eval(m, func, args, config, |_, name| {
+                assignment.get(name).copied()
+            })?,
             None => eval_with_assignment(iface, func, args, &assignment, config)?,
         };
         let e = v.into_energy()?.calibrate_interned(&cal)?;
@@ -1023,7 +1042,9 @@ pub fn enumerate_exact(
     let mut outcomes = Vec::with_capacity(assignments.len());
     for (assignment, p) in assignments {
         let v = match machine.as_mut() {
-            Some(m) => vm_eval(m, func, args, &assignment, config)?,
+            Some(m) => vm_eval(m, func, args, config, |_, name| {
+                assignment.get(name).copied()
+            })?,
             None => eval_with_assignment(iface, func, args, &assignment, config)?,
         };
         outcomes.push((v.into_energy()?.calibrate(&config.calibration)?, p));
@@ -1536,5 +1557,54 @@ mod tests {
         c.calibration = fig1_calibration();
         let e = expected_energy(&i, "handle", &[request(1024.0, 0.0)], &c).unwrap();
         assert!(e.as_joules() > 0.0);
+    }
+
+    /// The assignment memo runs the program at most once per assignment of
+    /// a covered space: 8,192 samples over 32 assignments execute at most
+    /// 32 times. Spaces it does not cover (13 Bernoullis, a continuous
+    /// ECV) execute every sample and store nothing.
+    #[test]
+    fn assignment_memo_executes_each_assignment_once() {
+        let bernoullis = |k: usize| {
+            let ecvs: String = (0..k)
+                .map(|i| format!("ecv b{i}: bernoulli(0.4);"))
+                .collect();
+            let terms: Vec<String> = (0..k)
+                .map(|i| format!("(if b{i} {{ {} J }} else {{ 0 J }})", i + 1))
+                .collect();
+            format!(
+                "interface b{k} {{ {ecvs} fn f() {{ return {}; }} }}",
+                terms.join(" + ")
+            )
+        };
+        let continuous = "interface c { ecv u: uniform(0, 1); fn f() { return u * 1 J; } }";
+        let n = 8192;
+        for (src, space) in [
+            (bernoullis(5), Some(32)),
+            (bernoullis(13), None),
+            (continuous.to_string(), None),
+        ] {
+            let iface = crate::parser::parse(&src).unwrap();
+            let program = vm::compile(&iface).unwrap();
+            let env = iface.ecv_env();
+            let config = cfg();
+            let (_sp, call) = McCall::open(&iface, "f", &[], &env, n, 9, &config);
+            let mut memo = AssignmentMemo::new(&program, &call);
+            for chunk in 0..n / MC_CHUNK {
+                call.chunk(chunk as u64, MC_CHUNK, Some(&mut memo)).unwrap();
+            }
+            let stored = memo.seen.iter().filter(|e| e.is_some()).count() as u64;
+            match space {
+                Some(space) => {
+                    assert_eq!(memo.seen.len(), space, "{src}");
+                    assert!(memo.runs <= space as u64, "{src}: {} runs", memo.runs);
+                    assert_eq!(memo.runs, stored, "{src}");
+                }
+                None => {
+                    assert!(memo.seen.is_empty(), "{src}");
+                    assert_eq!((memo.runs, stored), (n as u64, 0), "{src}");
+                }
+            }
+        }
     }
 }

@@ -24,7 +24,11 @@
 //!   per Monte-Carlo call or worker). It skips `run` entirely for an ECV
 //!   assignment already executed, which covers the entry frame: Fig. 1's
 //!   `handle(request)` reads ECVs and takes a record, so no call memo
-//!   could replace it.
+//!   could replace it. It is a dense table over the call's finite
+//!   assignment space, indexed by the draw's mixed-radix index; a
+//!   continuous ECV, or a space above its cap, gets no table. On a miss
+//!   the sampler loads the ECV slots straight from its flat draw through
+//!   `Vm::run_with`; [`Vm::run`] is the same loader fed from a named map.
 //!
 //! Neither memo is process-wide: both live exactly as long as one call of
 //! `evaluate_batch`, `monte_carlo` or `enumerate_exact` (or one
@@ -183,13 +187,33 @@ impl<'p> Vm<'p> {
         assignment: &BTreeMap<String, EcvValue>,
         config: &EvalConfig,
     ) -> Result<Value> {
+        self.run_with(func, args, config, |_, name| assignment.get(name).copied())
+    }
+
+    /// [`Vm::run`] with the ECV registers loaded by `ecv(slot, name)` for
+    /// each of the program's ECV slots (`None` = not assigned, an
+    /// `Unresolved` error if read). The sampling drivers pass a closure
+    /// that indexes their flat draw directly, so a sample builds no map
+    /// and looks up no name.
+    pub(crate) fn run_with(
+        &mut self,
+        func: &str,
+        args: &[Value],
+        config: &EvalConfig,
+        mut ecv: impl FnMut(usize, &str) -> Option<EcvValue>,
+    ) -> Result<Value> {
         self.fuel = config.fuel;
         self.fuel_limit = config.fuel;
         self.max_depth = config.max_depth;
-        for (slot, name) in self.ecvs.iter_mut().zip(&self.program.ecv_names) {
-            *slot = assignment.get(name).map(|v| match v {
-                EcvValue::Bool(b) => Value::Bool(*b),
-                EcvValue::Num(n) => Value::Num(*n),
+        for (i, (slot, name)) in self
+            .ecvs
+            .iter_mut()
+            .zip(&self.program.ecv_names)
+            .enumerate()
+        {
+            *slot = ecv(i, name).map(|v| match v {
+                EcvValue::Bool(b) => Value::Bool(b),
+                EcvValue::Num(n) => Value::Num(n),
             });
         }
         self.regs.clear();

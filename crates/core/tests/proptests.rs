@@ -192,14 +192,16 @@ proptest! {
         }
     }
 
-    /// `EcvEnv::sample_slots` is `sample_assignment` without the map: for
+    /// `EcvSampler::draw` is `sample_assignment` without the map: for
     /// every distribution kind, pinned or not, it yields the same values in
-    /// name order and leaves the RNG in the same state.
+    /// name order and leaves the RNG in the same state. Its assignment
+    /// index is a faithful memo key over a finite space: two draws share
+    /// an index exactly when they share every value.
     #[test]
     fn slot_sampler_matches_sample_assignment(
         x in arb_lit(),
         extra in proptest::collection::vec(arb_dist_spec(), 0..5),
-        pins in proptest::collection::vec(0u32..3, 9),
+        pins in proptest::collection::vec(0u32..3, 10),
         offset in 0usize..10,
         seed: u64,
     ) {
@@ -207,34 +209,136 @@ proptest! {
         let mut dists = vec![
             DistSpec::Bernoulli { p: (x / 1000.0).min(1.0) },
             DistSpec::Discrete { outcomes: vec![(x, 0.25), (x + 1.0, 0.75)] },
+            // Sums just under 1: the slack falls back to the last outcome.
+            DistSpec::Discrete { outcomes: vec![(x + 2.0, 0.5), (x + 3.0, 0.5 - 1e-9)] },
             DistSpec::Uniform { lo: x, hi: x + 1.0 },
             DistSpec::Normal { mean: x, std_dev: 1.0 },
             DistSpec::Point { value: x },
         ];
         dists.extend(extra);
         let mut env = EcvEnv::new();
+        // The same slots minus every unpinned continuous one, whose space
+        // is finite.
+        let mut finite = EcvEnv::new();
         for (i, dist) in dists.into_iter().enumerate() {
             // Distinct names whose order differs from declaration order.
             let name = format!("v{}", (i * 7 + offset) % 10);
-            env.declare(name.clone(), EcvDecl { dist, doc: String::new() });
-            match pins[i] {
-                1 => env.pin_bool(name, i % 2 == 0),
-                2 => env.pin_num(name, x + i as f64),
-                _ => {}
+            let continuous = dist.support().is_none();
+            env.declare(name.clone(), EcvDecl { dist: dist.clone(), doc: String::new() });
+            let pin = match pins[i] {
+                1 => Some(EcvValue::Bool(i % 2 == 0)),
+                2 => Some(EcvValue::Num(x + i as f64)),
+                _ => None,
+            };
+            if let Some(v) = pin {
+                env.pin(name.clone(), v);
+                finite.declare(name.clone(), EcvDecl { dist, doc: String::new() });
+                finite.pin(name, v);
+            } else if !continuous {
+                finite.declare(name, EcvDecl { dist, doc: String::new() });
             }
         }
+
+        let sampler = env.sampler();
+        prop_assert_eq!(sampler.len(), env.names().count());
+        let has_continuous = env
+            .names()
+            .any(|n| env.pinned(n).is_none() && env.decl(n).unwrap().dist.support().is_none());
+        prop_assert_eq!(sampler.space().is_none(), has_continuous);
         let mut by_map = rand::rngs::StdRng::seed_from_u64(seed);
         let mut by_slots = by_map.clone();
         // Stale contents must not survive a draw.
-        let mut slots = vec![EcvValue::Num(-1.0); 12];
+        let mut values = vec![EcvValue::Num(-1.0); sampler.len()];
         for _ in 0..3 {
             let assignment = env.sample_assignment(&mut by_map);
-            env.sample_slots(&mut by_slots, &mut slots);
-            prop_assert_eq!(assignment.values().copied().collect::<Vec<_>>(), slots.clone());
-            prop_assert_eq!(env.assignment_from_slots(&slots), assignment);
+            let index = sampler.draw(&mut by_slots, &mut values);
+            prop_assert_eq!(assignment.values().copied().collect::<Vec<_>>(), values.clone());
+            if has_continuous {
+                prop_assert_eq!(index, 0);
+            }
         }
         prop_assert_eq!(by_map.random::<u64>(), by_slots.random::<u64>());
+
+        // Extras may repeat a Discrete value, so the index can only be
+        // checked for being a function of the values there; the fixed
+        // slots have distinct values, so there it must also separate them.
+        let distinct_values = finite.names().all(|n| match &finite.decl(n).unwrap().dist {
+            DistSpec::Discrete { outcomes } => (1..outcomes.len())
+                .all(|i| outcomes[..i].iter().all(|(v, _)| *v != outcomes[i].0)),
+            _ => true,
+        });
+        let sampler = finite.sampler();
+        let space = sampler.space().expect("every slot is finite");
+        let mut values = vec![EcvValue::Num(-1.0); sampler.len()];
+        let mut seen: Vec<(usize, Vec<EcvValue>)> = Vec::new();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        for _ in 0..64 {
+            let index = sampler.draw(&mut rng, &mut values);
+            prop_assert!(index < space);
+            for (j, vs) in &seen {
+                prop_assert!(*j != index || *vs == values, "index {} for two assignments", index);
+                if distinct_values {
+                    prop_assert!(*vs != values || *j == index, "one assignment, two indices");
+                }
+            }
+            seen.push((index, values.clone()));
+        }
     }
+}
+
+/// An RNG pinned at the top of the stream: every `random::<f64>()` is
+/// `1 - 2^-53`, past any `Discrete` whose probabilities sum below that.
+struct Top;
+
+impl rand::RngCore for Top {
+    fn next_u64(&mut self) -> u64 {
+        u64::MAX
+    }
+}
+
+#[test]
+fn indexed_draw_maps_slack_and_pins_to_their_support_index() {
+    let slack = DistSpec::Discrete {
+        outcomes: vec![(2.0, 0.5), (3.0, 0.5 - 1e-9)],
+    };
+    slack.validate("slack").unwrap();
+    assert_eq!(slack.sample_indexed(&mut Top), (EcvValue::Num(3.0), 1));
+    assert_eq!(
+        DistSpec::Bernoulli { p: 1.0 }.sample_indexed(&mut Top),
+        (EcvValue::Bool(true), 0)
+    );
+    assert_eq!(
+        DistSpec::Bernoulli { p: 0.5 }.sample_indexed(&mut Top),
+        (EcvValue::Bool(false), 1)
+    );
+    assert_eq!(
+        DistSpec::Point { value: 7.0 }.sample_indexed(&mut Top),
+        (EcvValue::Num(7.0), 0)
+    );
+
+    // A pinned slot has one index and consumes no randomness, so pinning
+    // `b` halves the space and leaves `a`'s index where it was.
+    let mut env = EcvEnv::new();
+    for (name, dist) in [("a", slack.clone()), ("b", DistSpec::Bernoulli { p: 0.5 })] {
+        env.declare(
+            name,
+            EcvDecl {
+                dist,
+                doc: String::new(),
+            },
+        );
+    }
+    assert_eq!(env.sampler().space(), Some(4));
+    let mut values = [EcvValue::Num(0.0); 2];
+    assert_eq!(env.sampler().draw(&mut Top, &mut values), 3);
+    assert_eq!(values, [EcvValue::Num(3.0), EcvValue::Bool(false)]);
+    env.pin_bool("b", true);
+    assert_eq!(env.sampler().space(), Some(2));
+    assert_eq!(env.sampler().draw(&mut Top, &mut values), 1);
+    assert_eq!(values, [EcvValue::Num(3.0), EcvValue::Bool(true)]);
+    env.pin_num("a", 9.0);
+    assert_eq!(env.sampler().space(), Some(1));
+    assert_eq!(env.sampler().draw(&mut Top, &mut values), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1107,3 +1107,141 @@ fn memo_samples_match_per_sample_evaluation() {
         assert_eq!(got, expect, "{label}");
     }
 }
+
+/// A continuous ECV: no two samples repeat, so the compiled sampler keeps
+/// no assignment memo. `f(x)` fails on `u < 0.05` only when `x > 1`.
+const CONTINUOUS_SRC: &str = r#"interface cont {
+    ecv u: uniform(0, 1);
+    ecv hot: bernoulli(0.5);
+    fn f(x) {
+        let d = if u < 0.05 && x > 1 { 0 } else { 1 };
+        return (x + u) * 1 mJ / d + (if hot { 3 mJ } else { 0 J });
+    }
+}"#;
+
+/// Thirteen Bernoullis: 8,192 assignments, more than the assignment memo
+/// covers, so every sample executes. `f(x)` fails on `b0 && … && b4` only
+/// when `x > 1`.
+fn wide_src() -> String {
+    let ecvs: String = (0..13)
+        .map(|i| format!("    ecv b{i}: bernoulli(0.5);\n"))
+        .collect();
+    let terms: Vec<String> = (0..13)
+        .map(|i| format!("(if b{i} {{ {} uJ }} else {{ 0 J }})", 1u32 << i))
+        .collect();
+    format!(
+        "interface wide {{\n{ecvs}    fn f(x) {{\n        \
+         let d = if b0 && b1 && b2 && b3 && b4 && x > 1 {{ 0 }} else {{ 1 }};\n        \
+         return x * 1 mJ / d + {};\n    }}\n}}",
+        terms.join(" + ")
+    )
+}
+
+/// `f(x)` on every engine and thread count with the telemetry trace of
+/// each run, the serial tree-walk first.
+fn traced_runs(
+    iface: &Interface,
+    x: f64,
+    n: usize,
+) -> Vec<(String, ei_core::Result<EnergyDist>, String)> {
+    let env = iface.ecv_env();
+    let args = [Value::Num(x)];
+    let mut runs = Vec::new();
+    for mode in [ExecMode::TreeWalk, ExecMode::Auto] {
+        let cfg = EvalConfig {
+            mode,
+            ..EvalConfig::default()
+        };
+        for threads in [0, 1, 2, 8] {
+            let session = ei_telemetry::session();
+            let dist = if threads == 0 {
+                monte_carlo(iface, "f", &args, &env, n, 23, &cfg)
+            } else {
+                monte_carlo_par(iface, "f", &args, &env, n, 23, threads, &cfg)
+            };
+            let trace = session.finish().to_json_pretty();
+            runs.push((format!("{mode:?} x{threads}"), dist, trace));
+        }
+    }
+    runs
+}
+
+/// The spaces the assignment memo does not cover match the memo-free
+/// tree-walk sample for sample and trace for trace on the success path,
+/// and report the same first error on the failure path.
+#[test]
+fn memo_free_spaces_match_the_tree_walk() {
+    let n = 6 * MC_CHUNK;
+    for src in [CONTINUOUS_SRC.to_string(), wide_src()] {
+        let iface = parse(&src).unwrap();
+        let ok = traced_runs(&iface, 1.0, n);
+        let (_, oracle, oracle_trace) = &ok[0];
+        let oracle = oracle.as_ref().unwrap();
+        let mut distinct: Vec<u64> = oracle
+            .to_samples()
+            .iter()
+            .map(|e| e.as_joules().to_bits())
+            .collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert!(distinct.len() > n / 2, "{}: samples must vary", iface.name);
+        for (label, dist, trace) in &ok[1..] {
+            assert_eq!(dist.as_ref().unwrap(), oracle, "{}: {label}", iface.name);
+            assert_eq!(trace, oracle_trace, "{}: {label} trace", iface.name);
+        }
+
+        let failing = traced_runs(&iface, 2.0, n);
+        let (_, oracle, _) = &failing[0];
+        assert!(
+            matches!(oracle, Err(ei_core::Error::DivisionByZero)),
+            "{}: {oracle:?}",
+            iface.name
+        );
+        for (label, dist, _) in &failing[1..] {
+            assert_eq!(
+                format!("{dist:?}"),
+                format!("{oracle:?}"),
+                "{}: {label}",
+                iface.name
+            );
+        }
+    }
+}
+
+/// An environment that does not declare an ECV the program reads fails
+/// with the same `Unresolved` error on both engines, whether the rest of
+/// the space is memoized (finite) or not (continuous).
+#[test]
+fn undeclared_ecv_is_unresolved_on_both_engines() {
+    for (src, missing) in [(wide_src(), "b7"), (CONTINUOUS_SRC.to_string(), "hot")] {
+        let iface = parse(&src).unwrap();
+        let mut env = EcvEnv::new();
+        for (name, decl) in &iface.ecvs {
+            if name != missing {
+                env.declare(name.clone(), decl.clone());
+            }
+        }
+        for mode in [ExecMode::TreeWalk, ExecMode::Auto] {
+            let cfg = EvalConfig {
+                mode,
+                ..EvalConfig::default()
+            };
+            for threads in [1, 2] {
+                let err =
+                    monte_carlo_par(&iface, "f", &[Value::Num(1.0)], &env, 256, 5, threads, &cfg)
+                        .unwrap_err();
+                assert_eq!(
+                    format!("{err:?}"),
+                    format!(
+                        "{:?}",
+                        ei_core::Error::Unresolved {
+                            kind: ei_core::error::NameKind::Ecv,
+                            name: missing.to_string(),
+                        }
+                    ),
+                    "{mode:?} x{threads}"
+                );
+            }
+        }
+    }
+}

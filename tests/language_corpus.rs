@@ -194,10 +194,13 @@ fn corpus_worst_case_bounds_are_sound() {
 }
 
 /// Every EIL file the repository ships, and every bundled interface after a
-/// print/parse round trip, parses within the parser's nesting limit.
+/// print/parse round trip, parses within the parser's nesting limit. The
+/// lint corpus's `v*` fixtures are the exception: each must be rejected by
+/// distribution validation instead.
 #[test]
 fn shipped_interfaces_parse_within_the_nesting_limit() {
     use energy_clarity::core::parser::parse_all;
+    use energy_clarity::core::Error;
     use energy_clarity::hw::{cpu, gpu, interfaces as hw, nic};
     use energy_clarity::llm::{batch_interface, interface as llm, model};
     use energy_clarity::sched::{cluster, fuzz, provision};
@@ -212,7 +215,17 @@ fn shipped_interfaces_parse_within_the_nesting_limit() {
                 dirs.push(path);
             } else if path.extension().is_some_and(|e| e == "eil") {
                 let src = std::fs::read_to_string(&path).unwrap();
-                parse_all(&src).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                let stem = path.file_stem().unwrap().to_string_lossy();
+                if dir.ends_with("bad_eil") && stem.starts_with('v') {
+                    let err = parse_all(&src).unwrap_err();
+                    assert!(
+                        matches!(err, Error::BadDistribution { .. }),
+                        "{}: {err}",
+                        path.display()
+                    );
+                } else {
+                    parse_all(&src).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                }
                 files += 1;
             }
         }

@@ -1,7 +1,9 @@
 //! Golden snapshots for the `eil-sema` lint framework.
 //!
 //! `tests/fixtures/bad_eil/` holds one deliberately defective interface per
-//! lint rule. Each fixture is linted through the library API
+//! lint rule, plus `v*` fixtures that never reach the linter because
+//! distribution validation rejects them at parse time (checked in
+//! `language_corpus.rs`). Each lint fixture is linted through the library API
 //! (`ei_core::sema::check_program`) and both renderings — the human text
 //! report and the machine JSON report — are frozen byte-for-byte under
 //! `tests/golden/lint/`. On top of the snapshots, each fixture asserts the
