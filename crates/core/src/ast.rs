@@ -6,10 +6,10 @@
 //! numbers, booleans, records (abstracted inputs), and energy vectors, plus
 //! reads of [ECVs](crate::ecv) and calls into other interfaces.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A binary operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum BinOp {
     /// Addition (numbers or energies).
     Add,
@@ -72,7 +72,7 @@ impl BinOp {
 }
 
 /// A unary operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum UnOp {
     /// Arithmetic negation.
     Neg,
@@ -81,7 +81,7 @@ pub enum UnOp {
 }
 
 /// A built-in pure function usable in any interface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Builtin {
     /// `min(a, b)` — smaller of two numbers or energies.
     Min,
@@ -179,7 +179,7 @@ impl Builtin {
 }
 
 /// An EIL expression.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Expr {
     /// A numeric literal.
     Num(f64),
@@ -258,7 +258,7 @@ impl Expr {
 }
 
 /// An EIL statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Stmt {
     /// `let name = expr;` — introduces a local binding.
     Let(String, Expr),
@@ -323,7 +323,7 @@ impl Stmt {
 }
 
 /// A function definition inside an energy interface.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FnDef {
     /// Function name (unique within an interface after linking).
     pub name: String,
@@ -379,7 +379,7 @@ impl FnDef {
 }
 
 /// An extern function declaration: called here, provided by a lower layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExternDecl {
     /// Extern function name.
     pub name: String,

@@ -134,17 +134,7 @@ fn run(args: &[String], out: &mut String) -> Result<(), String> {
             let func = args.get(2).ok_or_else(usage)?;
             let mut spec = InputSpec::new();
             for a in &args[3..] {
-                let (path, range) = a
-                    .split_once('=')
-                    .ok_or_else(|| format!("expected k=lo..hi, got `{a}`"))?;
-                let (lo, hi) = range
-                    .split_once("..")
-                    .ok_or_else(|| format!("expected lo..hi in `{a}`"))?;
-                let lo: f64 = lo.parse().map_err(|_| format!("bad number in `{a}`"))?;
-                let hi: f64 = hi.parse().map_err(|_| format!("bad number in `{a}`"))?;
-                if lo > hi {
-                    return Err(format!("empty range in `{a}`: {lo} > {hi}"));
-                }
+                let (path, lo, hi) = parse_range(a)?;
                 spec = spec.range(path, lo, hi);
             }
             let bound = worst_case(&iface, func, &spec, &Calibration::empty())
@@ -162,6 +152,23 @@ fn run(args: &[String], out: &mut String) -> Result<(), String> {
         }
         _ => Err(usage()),
     }
+}
+
+/// Parses one `k=lo..hi` input range. A range must satisfy `lo <= hi`;
+/// a NaN bound fails that too (`lo > hi` alone would let it through).
+fn parse_range(a: &str) -> Result<(&str, f64, f64), String> {
+    let (key, range) = a
+        .split_once('=')
+        .ok_or_else(|| format!("expected k=lo..hi, got `{a}`"))?;
+    let (lo, hi) = range
+        .split_once("..")
+        .ok_or_else(|| format!("expected lo..hi in `{a}`"))?;
+    let lo: f64 = lo.parse().map_err(|_| format!("bad number in `{a}`"))?;
+    let hi: f64 = hi.parse().map_err(|_| format!("bad number in `{a}`"))?;
+    if lo.is_nan() || hi.is_nan() || lo > hi {
+        return Err(format!("empty range in `{a}`: {lo}..{hi}"));
+    }
+    Ok((key, lo, hi))
 }
 
 /// Runs the semantic analyzer over every interface in the given `.eil`
@@ -266,17 +273,7 @@ fn run_certify(raw: &[String]) -> Result<String, String> {
                 return Err(format!("certify: unknown flag `{other}`"))
             }
             other if other.contains("..") => {
-                let (key, range) = other
-                    .split_once('=')
-                    .ok_or_else(|| format!("expected k=lo..hi, got `{other}`"))?;
-                let (lo, hi) = range
-                    .split_once("..")
-                    .ok_or_else(|| format!("expected lo..hi in `{other}`"))?;
-                let lo: f64 = lo.parse().map_err(|_| format!("bad number in `{other}`"))?;
-                let hi: f64 = hi.parse().map_err(|_| format!("bad number in `{other}`"))?;
-                if lo > hi {
-                    return Err(format!("empty range in `{other}`: {lo} > {hi}"));
-                }
+                let (key, lo, hi) = parse_range(other)?;
                 ranges.push((key.to_string(), lo, hi));
             }
             other => {

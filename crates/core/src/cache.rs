@@ -135,7 +135,7 @@ pub fn fingerprint_interface(iface: &Interface) -> u64 {
 
 fn hash_interface(h: &mut Mixer, iface: &Interface) {
     // Destructured so that a new field fails to compile until it is hashed
-    // (or, like `spans`, deliberately left out).
+    // (or, like the `spans` and `compiled` metadata, deliberately left out).
     let Interface {
         name,
         doc,
@@ -145,6 +145,7 @@ fn hash_interface(h: &mut Mixer, iface: &Interface) {
         externs,
         input_specs,
         spans: _,
+        compiled: _,
     } = iface;
     h.str(name);
     h.str(doc);

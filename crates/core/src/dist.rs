@@ -111,26 +111,26 @@ impl EnergyDist {
         self.variance().sqrt()
     }
 
-    /// The smallest possible energy (minimum of support / samples).
+    /// The smallest possible energy (minimum of support / samples); zero
+    /// for an empty distribution. An infinite outcome is reported as such.
     pub fn min(&self) -> Energy {
         self.fold_energy(f64::INFINITY, f64::min)
     }
 
-    /// The largest possible energy (maximum of support / samples).
+    /// The largest possible energy (maximum of support / samples); zero
+    /// for an empty distribution. An infinite outcome is reported as such.
     pub fn max(&self) -> Energy {
         self.fold_energy(f64::NEG_INFINITY, f64::max)
     }
 
     fn fold_energy(&self, init: f64, f: fn(f64, f64) -> f64) -> Energy {
-        let folded = match self {
+        if self.is_empty() {
+            return Energy::ZERO;
+        }
+        Energy(match self {
             EnergyDist::Mixture(v) => v.iter().map(|(e, _)| e.as_joules()).fold(init, f),
             EnergyDist::Empirical(v) => v.iter().map(|e| e.as_joules()).fold(init, f),
-        };
-        if folded.is_finite() {
-            Energy(folded)
-        } else {
-            Energy::ZERO
-        }
+        })
     }
 
     /// The `q`-quantile (`q` in `[0, 1]`), by linear search over the CDF.
@@ -397,6 +397,32 @@ mod tests {
         let samples = d.to_samples();
         let heavy = samples.iter().filter(|e| e.as_joules() == 1.0).count();
         assert!((850..=950).contains(&heavy), "heavy={heavy}");
+    }
+
+    /// An infinite outcome is the extreme it is, in both variants; only an
+    /// empty distribution reports zero.
+    #[test]
+    fn min_and_max_report_infinite_outcomes() {
+        let inf = f64::INFINITY;
+        let samples =
+            |v: &[f64]| EnergyDist::empirical(v.iter().map(|&j| Energy::joules(j)).collect());
+        let cases = [
+            (&[-inf, 1.0, inf][..], (-inf, inf)),
+            (&[inf, inf][..], (inf, inf)),
+            (&[-inf, 2.0][..], (-inf, 2.0)),
+            (&[][..], (0.0, 0.0)),
+        ];
+        for (outcomes, expected) in cases {
+            let weight = 1.0 / outcomes.len() as f64;
+            let mixture = mix(&outcomes.iter().map(|&j| (j, weight)).collect::<Vec<_>>());
+            for d in [samples(outcomes), mixture] {
+                assert_eq!(
+                    (d.min().as_joules(), d.max().as_joules()),
+                    expected,
+                    "{d:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::{Error, Result};
 
 /// The distribution an ECV is drawn from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum DistSpec {
     /// A boolean that is `true` with probability `p`.
     Bernoulli {
@@ -270,7 +270,7 @@ impl fmt::Display for EcvValue {
 }
 
 /// Declaration of one ECV: its distribution plus a human-readable note.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EcvDecl {
     /// The declared distribution.
     pub dist: DistSpec,

@@ -8,16 +8,21 @@
 //! they call; [linking](crate::compose) resolves externs against providers.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
+use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use parking_lot::Mutex;
+use serde::Serialize;
 
 use crate::ast::{Builtin, Expr, ExternDecl, FnDef};
+use crate::cache::fingerprint_interface;
 use crate::ecv::{EcvDecl, EcvEnv};
 use crate::error::{Error, NameKind, Result};
+use crate::vm;
 
 /// The declared range of one numeric input feature, used by worst-case and
 /// compatibility analyses to bound the input space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FeatureRange {
     /// Inclusive lower bound.
     pub lo: f64,
@@ -46,7 +51,7 @@ impl FeatureRange {
 ///
 /// A scalar parameter has an entry under its own name; a record parameter
 /// has entries `param.field`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct InputSpec {
     pub(crate) ranges: BTreeMap<String, FeatureRange>,
 }
@@ -81,7 +86,7 @@ impl InputSpec {
 
 /// An energy interface: functions, ECV declarations, abstract units, and
 /// extern requirements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Interface {
     /// Interface name (e.g. `ml_webservice`).
     pub name: String,
@@ -101,6 +106,56 @@ pub struct Interface {
     /// equal, serializes as `null`; empty for programmatically built
     /// interfaces).
     pub spans: crate::span::SpanTable,
+    /// The verified program last compiled from this interface (metadata,
+    /// like `spans`; see [`Interface::program`]).
+    pub(crate) compiled: CompiledProgram,
+}
+
+/// The verified program an [`Interface`] carries, with the content
+/// fingerprint it was compiled at.
+///
+/// Metadata, not identity, like [`SpanTable`](crate::span::SpanTable): it
+/// always compares equal, serializes as `null`, prints nothing under
+/// `Debug`, and the fingerprint skips it, so whether a driver has run on
+/// an interface never shows. `Clone` shares the program; a clone that is
+/// then edited recompiles on its next use, because its fingerprint no
+/// longer matches. The lock is `parking_lot`'s, which does not poison.
+#[derive(Default)]
+pub(crate) struct CompiledProgram(Mutex<Option<(u64, Arc<vm::Program>)>>);
+
+#[cfg(test)]
+impl CompiledProgram {
+    /// The stored program, if any, whatever fingerprint it was compiled at.
+    pub(crate) fn stored(&self) -> Option<Arc<vm::Program>> {
+        self.0
+            .lock()
+            .as_ref()
+            .map(|(_, program)| Arc::clone(program))
+    }
+}
+
+impl Clone for CompiledProgram {
+    fn clone(&self) -> Self {
+        CompiledProgram(Mutex::new(self.0.lock().clone()))
+    }
+}
+
+impl PartialEq for CompiledProgram {
+    fn eq(&self, _other: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for CompiledProgram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("..")
+    }
+}
+
+impl Serialize for CompiledProgram {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Null
+    }
 }
 
 impl Interface {
@@ -115,7 +170,28 @@ impl Interface {
             externs: BTreeMap::new(),
             input_specs: BTreeMap::new(),
             spans: crate::span::SpanTable::default(),
+            compiled: CompiledProgram::default(),
         }
+    }
+
+    /// This interface's verified program, compiled once per content.
+    ///
+    /// Walks the [fingerprint](fingerprint_interface) and returns the
+    /// stored program when it was compiled at the same fingerprint.
+    /// Otherwise runs [`vm::compile`] (lowering plus full verification)
+    /// outside the lock and stores the result, replacing any program
+    /// compiled before an in-place edit through the `pub` fields. Errors
+    /// are returned, never stored.
+    pub(crate) fn program(&self) -> Result<Arc<vm::Program>> {
+        let fingerprint = fingerprint_interface(self);
+        if let Some((at, program)) = &*self.compiled.0.lock() {
+            if *at == fingerprint {
+                return Ok(Arc::clone(program));
+            }
+        }
+        let program = Arc::new(vm::compile(self)?);
+        *self.compiled.0.lock() = Some((fingerprint, Arc::clone(&program)));
+        Ok(program)
     }
 
     /// Adds a function definition; errors on duplicates.

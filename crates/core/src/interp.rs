@@ -4,13 +4,16 @@
 //! that the resource would consume if run with a particular workload" (§2).
 //! This module is that execution engine's front door. Its drivers — Monte
 //! Carlo, batch evaluation and exact enumeration, which turn ECV-reading
-//! interfaces into [`EnergyDist`]s — compile the interface once per call
-//! and run it on the bytecode VM ([`crate::vm`]). Single-shot evaluation
-//! and [`ExecMode::TreeWalk`] run the deterministic tree-walking evaluator
-//! defined here, the memo-free reference the VM is held to. Both engines
-//! carry an explicit fuel budget, so any interface terminates.
+//! interfaces into [`EnergyDist`]s — run the bytecode VM ([`crate::vm`])
+//! on the verified program the interface carries, compiled on first use
+//! and again only when the interface's content changes. Single-shot
+//! evaluation and [`ExecMode::TreeWalk`] run the deterministic
+//! tree-walking evaluator defined here, the memo-free reference the VM is
+//! held to. Both engines carry an explicit fuel budget, so any interface
+//! terminates.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,10 +49,10 @@ pub const DEFAULT_MAX_DEPTH: usize = 64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// The production engine. Sampling drivers (`monte_carlo`,
-    /// `evaluate_batch`, `enumerate_exact`) compile once per call and run
-    /// the bytecode VM; a compile error is the caller's error. Single-shot
-    /// evaluation walks the tree, where compiling would cost more than it
-    /// saves.
+    /// `evaluate_batch`, `enumerate_exact`) run the bytecode VM on the
+    /// program the interface carries, compiled once per interface
+    /// content; a compile error is the caller's error. Single-shot
+    /// evaluation walks the tree.
     #[default]
     Auto,
     /// Always walk the AST: the memo-free differential reference.
@@ -635,12 +638,14 @@ fn vm_eval(
 }
 
 /// Resolves the engine for a sampling driver: under [`ExecMode::Auto`],
-/// compile once up front (a compile error is the caller's error); under
+/// the verified program the interface carries, compiled on its first use
+/// and reused by every later call until its content changes (see
+/// `Interface::program`; a compile error is the caller's error); under
 /// [`ExecMode::TreeWalk`], `None` to walk the tree per sample.
-fn prepare_engine(iface: &Interface, config: &EvalConfig) -> Result<Option<vm::Program>> {
+fn prepare_engine(iface: &Interface, config: &EvalConfig) -> Result<Option<Arc<vm::Program>>> {
     Ok(match config.mode {
         ExecMode::TreeWalk => None,
-        ExecMode::Auto => Some(vm::compile(iface)?),
+        ExecMode::Auto => Some(iface.program()?),
     })
 }
 
@@ -897,7 +902,7 @@ pub fn monte_carlo(
 ) -> Result<EnergyDist> {
     let program = prepare_engine(iface, config)?;
     let (_sp, call) = McCall::open(iface, func, args, env, n, seed, config);
-    let mut memo = program.as_ref().map(|p| AssignmentMemo::new(p, &call));
+    let mut memo = program.as_deref().map(|p| AssignmentMemo::new(p, &call));
     let mut samples = Vec::with_capacity(n);
     for (chunk_index, start) in (0..n).step_by(MC_CHUNK).enumerate() {
         let len = MC_CHUNK.min(n - start);
@@ -947,7 +952,7 @@ pub fn monte_carlo_par(
 
     let tag = telemetry::session_tag();
     std::thread::scope(|scope| {
-        let (cursor, slots, call, program) = (&cursor, &slots, &call, program.as_ref());
+        let (cursor, slots, call, program) = (&cursor, &slots, &call, program.as_deref());
         for _ in 0..n_threads.min(n_chunks) {
             scope.spawn(move || {
                 // Record for the caller's telemetry session, if any.
@@ -1001,7 +1006,7 @@ pub fn evaluate_batch(
     config: &EvalConfig,
 ) -> Result<Vec<Energy>> {
     let program = prepare_engine(iface, config)?;
-    let mut machine = program.as_ref().map(vm::Vm::new);
+    let mut machine = program.as_deref().map(vm::Vm::new);
     let mut sp = telemetry::span(SpanKind::EnergyQuery, func);
     sp.add_items(argsets.len() as u64);
     telemetry::counter_add("core.interp.batch_evals", argsets.len() as u64);
@@ -1035,7 +1040,7 @@ pub fn enumerate_exact(
 ) -> Result<EnergyDist> {
     let assignments = env.enumerate_assignments(limit)?;
     let program = prepare_engine(iface, config)?;
-    let mut machine = program.as_ref().map(vm::Vm::new);
+    let mut machine = program.as_deref().map(vm::Vm::new);
     let mut sp = telemetry::span(SpanKind::EnergyQuery, func);
     sp.add_items(assignments.len() as u64);
     telemetry::counter_add("core.interp.exact_enumerations", 1);
@@ -1557,6 +1562,43 @@ mod tests {
         c.calibration = fig1_calibration();
         let e = expected_energy(&i, "handle", &[request(1024.0, 0.0)], &c).unwrap();
         assert!(e.as_joules() > 0.0);
+    }
+
+    /// Every sampling driver on one interface reuses the program the first
+    /// one compiled: the stored `Arc` is never replaced while the content
+    /// is unchanged. The tree-walk compiles nothing.
+    #[test]
+    fn drivers_compile_each_interface_once() {
+        let iface = fig1();
+        let env = iface.ecv_env();
+        let args = [request(1024.0, 0.0)];
+        let argsets = [args.to_vec(), vec![request(64.0, 8.0)]];
+        let run_all = |config: &EvalConfig| {
+            monte_carlo(&iface, "handle", &args, &env, 256, 1, config).unwrap();
+            monte_carlo(&iface, "handle", &args, &env, 256, 2, config).unwrap();
+            monte_carlo_par(&iface, "handle", &args, &env, 256, 3, 2, config).unwrap();
+            evaluate_batch(&iface, "handle", &argsets, &env, 4, config).unwrap();
+            enumerate_exact(&iface, "handle", &args, &env, 64, config).unwrap();
+            expected_energy(&iface, "handle", &args, config).unwrap();
+        };
+        let mut config = cfg();
+        config.calibration = fig1_calibration();
+
+        run_all(&EvalConfig {
+            mode: ExecMode::TreeWalk,
+            ..config.clone()
+        });
+        assert!(iface.compiled.stored().is_none(), "the tree-walk compiled");
+
+        monte_carlo(&iface, "handle", &args, &env, 64, 0, &config).unwrap();
+        let first = iface.compiled.stored().expect("the first call compiled");
+        run_all(&config);
+        let last = iface.compiled.stored().unwrap();
+        assert!(Arc::ptr_eq(&first, &last), "a driver recompiled");
+        assert_eq!(
+            first.fingerprint(),
+            vm::compile(&iface).unwrap().fingerprint()
+        );
     }
 
     /// The assignment memo runs the program at most once per assignment of

@@ -207,18 +207,12 @@ impl PartialEq for SpanTable {
     }
 }
 
-// For the same reason the table serializes to nothing (`null`) and
-// deserializes to empty from any value, so round-tripped interfaces are
-// unaffected by recorded positions (the cache fingerprint skips it too).
+// For the same reason the table serializes to nothing (`null`), so
+// serialized interfaces are unaffected by recorded positions (the cache
+// fingerprint skips it too).
 impl serde::Serialize for SpanTable {
     fn to_value(&self) -> serde::Value {
         serde::Value::Null
-    }
-}
-
-impl serde::Deserialize for SpanTable {
-    fn from_value(_: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        Ok(SpanTable::default())
     }
 }
 

@@ -34,3 +34,30 @@ fn closed_stdout_ends_quietly() {
     assert!(done.status.success(), "{}: {stderr}", done.status);
     assert!(stderr.is_empty(), "{stderr}");
 }
+
+/// `bound` and `certify` reject a range with a NaN bound, which `lo > hi`
+/// alone would let through as an inverted bound.
+#[test]
+fn nan_ranges_are_rejected() {
+    let path = format!("{}/eic_nan_range.eil", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(&path, "interface r {\n    fn g(x) { return x * 1 J; }\n}\n").unwrap();
+    for range in ["x=nan..1", "x=1..nan", "x=nan..nan", "x=2..1"] {
+        for args in [
+            vec!["bound", &path, "g", range],
+            vec!["certify", &path, "--fn", "g", range],
+        ] {
+            let done = Command::new(env!("CARGO_BIN_EXE_eic"))
+                .args(&args)
+                .output()
+                .unwrap();
+            let stdout = String::from_utf8_lossy(&done.stdout);
+            let stderr = String::from_utf8_lossy(&done.stderr);
+            assert_eq!(done.status.code(), Some(1), "{args:?}: {stdout}{stderr}");
+            assert!(stdout.is_empty(), "{args:?}: {stdout}");
+            assert!(
+                stderr.contains(&format!("empty range in `{range}`")),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+}

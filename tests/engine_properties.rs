@@ -15,10 +15,11 @@ use ei_core::dist::EnergyDist;
 use ei_core::ecv::{DistSpec, EcvDecl, EcvEnv};
 use ei_core::interface::{FeatureRange, InputSpec, Interface};
 use ei_core::interp::{
-    eval_with_assignment, evaluate_batch, evaluate_energy, expected_energy, mc_chunk_seed,
-    monte_carlo, monte_carlo_par, EvalConfig, ExecMode, MC_CHUNK,
+    enumerate_exact, eval_with_assignment, evaluate_batch, evaluate_energy, expected_energy,
+    mc_chunk_seed, monte_carlo, monte_carlo_par, EvalConfig, ExecMode, MC_CHUNK,
 };
 use ei_core::parser::parse;
+use ei_core::pretty::print_interface;
 use ei_core::units::{Calibration, Energy};
 use ei_core::value::Value;
 use rand::rngs::StdRng;
@@ -1244,4 +1245,211 @@ fn undeclared_ecv_is_unresolved_on_both_engines() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The compiled program an interface carries
+// ---------------------------------------------------------------------------
+
+/// `f` reads both ECVs and loops up to one of them; `z` returns a signed
+/// zero, so a stale program shows in the result's bits.
+const EDIT_SRC: &str = r#"interface edit {
+    unit tick;
+    ecv hit: bernoulli(0.25);
+    ecv load: discrete(1: 0.5, 3: 0.5);
+    fn f(x) {
+        let c = 2;
+        let acc = 0 J;
+        for i in 0..load {
+            acc = acc + x * c * 1 mJ;
+        }
+        return acc + (if hit { 5 tick } else { 1 tick });
+    }
+    fn z() {
+        return 0.0 J;
+    }
+}"#;
+
+fn edit_config(mode: ExecMode) -> EvalConfig {
+    EvalConfig {
+        calibration: Calibration::from_pairs([("tick", Energy::microjoules(3.0))]),
+        mode,
+        ..EvalConfig::default()
+    }
+}
+
+/// Every function's answers through every sampling driver, as bits (or
+/// the error), so signed zeros and NaN payloads compare exactly.
+fn edit_answers(iface: &Interface, mode: ExecMode) -> Vec<(String, String)> {
+    let config = edit_config(mode);
+    let env = iface.ecv_env();
+    let bits = |r: ei_core::Result<Vec<Energy>>| match r {
+        Ok(v) => format!(
+            "{:x?}",
+            v.iter()
+                .map(|e| e.as_joules().to_bits())
+                .collect::<Vec<_>>()
+        ),
+        Err(e) => format!("error: {e:?}"),
+    };
+    let mut out = Vec::new();
+    for (name, f) in &iface.fns {
+        let args: Vec<Value> = f.params.iter().map(|_| Value::Num(2.0)).collect();
+        let argsets = vec![
+            args.clone(),
+            f.params.iter().map(|_| Value::Num(-0.5)).collect(),
+        ];
+        let mc = monte_carlo(iface, name, &args, &env, 3 * MC_CHUNK, 7, &config);
+        let exact = enumerate_exact(iface, name, &args, &env, 64, &config);
+        out.push((format!("{name} mc"), bits(mc.map(|d| d.to_samples()))));
+        out.push((
+            format!("{name} batch"),
+            bits(evaluate_batch(iface, name, &argsets, &env, 7, &config)),
+        ));
+        out.push((format!("{name} exact"), format!("{exact:?}")));
+    }
+    out
+}
+
+/// An in-place edit through the `pub` fields never runs a stale program:
+/// after each edit the answers equal those of a freshly parsed copy of the
+/// edited interface and of the tree-walk.
+#[test]
+fn edited_interfaces_never_run_a_stale_program() {
+    let set_body = |iface: &mut Interface, name: &str, i: usize, stmt: Stmt| {
+        iface.fns.get_mut(name).unwrap().body[i] = stmt;
+    };
+    type Edit = Box<dyn Fn(&mut Interface)>;
+    let edits: Vec<(&str, bool, Edit)> = vec![
+        (
+            "literal",
+            true,
+            Box::new(move |i| set_body(i, "f", 0, Stmt::Let("c".into(), Expr::Num(7.0)))),
+        ),
+        (
+            "signed zero",
+            true,
+            Box::new(move |i| set_body(i, "z", 0, Stmt::Return(Expr::Joules(-0.0)))),
+        ),
+        (
+            "add_fn",
+            true,
+            Box::new(|i| {
+                i.add_fn(FnDef::new(
+                    "g",
+                    vec![],
+                    vec![Stmt::Return(Expr::Joules(4.0))],
+                ))
+                .unwrap()
+            }),
+        ),
+        (
+            "ecv declaration",
+            true,
+            Box::new(|i| {
+                i.ecvs.insert(
+                    "load".into(),
+                    EcvDecl {
+                        dist: DistSpec::Discrete {
+                            outcomes: vec![(2.0, 0.25), (5.0, 0.75)],
+                        },
+                        doc: String::new(),
+                    },
+                );
+            }),
+        ),
+        ("units", false, Box::new(|i| i.add_unit("spare"))),
+    ];
+    for (label, changes, edit) in edits {
+        let mut iface = parse(EDIT_SRC).unwrap();
+        let before = edit_answers(&iface, ExecMode::Auto);
+        edit(&mut iface);
+        let after = edit_answers(&iface, ExecMode::Auto);
+        let fresh = parse(&print_interface(&iface)).unwrap();
+        assert_eq!(
+            after,
+            edit_answers(&fresh, ExecMode::Auto),
+            "{label}: fresh copy"
+        );
+        assert_eq!(
+            after,
+            edit_answers(&iface, ExecMode::TreeWalk),
+            "{label}: tree-walk"
+        );
+        assert_eq!(after != before, changes, "{label}: answers changed");
+    }
+}
+
+/// Editing a clone recompiles the clone only: the original keeps its own
+/// program and answers.
+#[test]
+fn editing_a_clone_leaves_the_original_unchanged() {
+    let original = parse(EDIT_SRC).unwrap();
+    let before = edit_answers(&original, ExecMode::Auto);
+    let mut copy = original.clone();
+    copy.fns.get_mut("f").unwrap().body[0] = Stmt::Let("c".into(), Expr::Num(7.0));
+    assert_ne!(edit_answers(&copy, ExecMode::Auto), before);
+    assert_eq!(edit_answers(&original, ExecMode::Auto), before);
+}
+
+/// The stored program is invisible: a driver call leaves `==`, the
+/// fingerprint, the printed form, the serialized form and `Debug` of the
+/// interface exactly as they were.
+#[test]
+fn driver_calls_leave_the_interface_observably_unchanged() {
+    let view = |i: &Interface| {
+        (
+            fingerprint_interface(i),
+            print_interface(i),
+            serde_json::to_string(i).unwrap(),
+            format!("{i:?}"),
+        )
+    };
+    let iface = parse(EDIT_SRC).unwrap();
+    let cold = iface.clone();
+    let before = view(&iface);
+    edit_answers(&iface, ExecMode::Auto);
+    expected_energy(
+        &iface,
+        "f",
+        &[Value::Num(2.0)],
+        &edit_config(ExecMode::Auto),
+    )
+    .unwrap();
+    assert!(iface == cold);
+    assert_eq!(view(&iface), before);
+}
+
+/// Eight threads that share one cold interface race to compile it and
+/// still match the serial answers of a separately parsed copy.
+#[test]
+fn threads_sharing_a_cold_interface_match_serial() {
+    let config = edit_config(ExecMode::Auto);
+    let args = [Value::Num(2.0)];
+    let argsets: Vec<Vec<Value>> = (0..16).map(|k| vec![Value::Num(k as f64)]).collect();
+    let n = 6 * MC_CHUNK;
+    let reference = parse(EDIT_SRC).unwrap();
+    let env = reference.ecv_env();
+    let serial_mc = monte_carlo(&reference, "f", &args, &env, n, 11, &config).unwrap();
+    let serial_batch = evaluate_batch(&reference, "f", &argsets, &env, 11, &config).unwrap();
+
+    let shared = parse(EDIT_SRC).unwrap();
+    let barrier = std::sync::Barrier::new(8);
+    std::thread::scope(|scope| {
+        for t in 0..8 {
+            let (shared, env, config, args, argsets, barrier) =
+                (&shared, &env, &config, &args, &argsets, &barrier);
+            let (serial_mc, serial_batch) = (&serial_mc, &serial_batch);
+            scope.spawn(move || {
+                barrier.wait();
+                if t % 2 == 0 {
+                    let par = monte_carlo_par(shared, "f", args, env, n, 11, 3, config).unwrap();
+                    assert_eq!(&par, serial_mc, "thread {t}");
+                } else {
+                    let batch = evaluate_batch(shared, "f", argsets, env, 11, config).unwrap();
+                    assert_eq!(&batch, serial_batch, "thread {t}");
+                }
+            });
+        }
+    });
 }

@@ -1,9 +1,10 @@
 //! A corpus of realistic energy interfaces: every one must parse,
-//! round-trip through the pretty-printer, validate, evaluate, serialize to
-//! JSON and back, and (where annotated) admit worst-case analysis that is
-//! sound against sampling.
+//! round-trip through the pretty-printer (losslessly, as seen by its JSON
+//! and fingerprint), validate, evaluate, and (where annotated) admit
+//! worst-case analysis that is sound against sampling.
 
 use energy_clarity::core::analysis::worst_case::worst_case;
+use energy_clarity::core::cache::fingerprint_interface;
 use energy_clarity::core::ecv::EcvEnv;
 use energy_clarity::core::interface::{InputSpec, Interface};
 use energy_clarity::core::interp::{evaluate_energy, EvalConfig};
@@ -153,13 +154,24 @@ fn corpus_evaluates_positive_energy() {
     }
 }
 
+/// Printed EIL is the one wire format: printing and parsing back loses
+/// nothing the serialized form or the fingerprint can see (float bits
+/// included, which `==` would not catch), and printing is a fixed point.
 #[test]
-fn corpus_serializes_to_json_and_back() {
+fn corpus_prints_and_parses_back_losslessly() {
     for (name, src, _, _, _) in corpus() {
         let iface = parse(src).unwrap();
-        let json = serde_json::to_string(&iface).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let back: Interface = serde_json::from_str(&json).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(iface, back, "{name} JSON round-trip");
+        let printed = print_interface(&iface);
+        let back = parse(&printed).unwrap_or_else(|e| panic!("{name} reprint: {e}\n{printed}"));
+        let json =
+            |i: &Interface| serde_json::to_string(i).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(json(&iface), json(&back), "{name} print/parse round-trip");
+        assert_eq!(
+            fingerprint_interface(&iface),
+            fingerprint_interface(&back),
+            "{name} fingerprint"
+        );
+        assert_eq!(print_interface(&back), printed, "{name} reprint");
     }
 }
 
