@@ -20,6 +20,7 @@
 //! Writes the per-target report as JSON to `cert_report.json` (override
 //! with `CERT_REPORT_OUT`; set it empty to skip) so CI can archive it.
 
+use ei_bench::fig1::deployed_interfaces;
 use ei_bench::table1::fitted_gpt2_interface;
 use ei_core::analysis::cert::{certify, Certificate};
 use ei_core::compose::link;
@@ -29,17 +30,11 @@ use ei_core::interp::{evaluate_energy, EvalConfig};
 use ei_core::units::{Calibration, Energy};
 use ei_core::value::Value;
 use ei_core::vm;
-use ei_hw::gpu::{rtx4090, GpuSim};
+use ei_hw::gpu::rtx4090;
 use ei_hw::interfaces::{gpu_interface, gpu_interface_dvfs};
-use ei_hw::nic::{datacenter_nic, NicSim};
 use ei_llm::batch_interface::gpt2_batch_interface;
 use ei_llm::interface::gpt2_interface;
 use ei_llm::model::gpt2_small;
-use ei_service::cache::CacheEnergy;
-use ei_service::frontend::{
-    calibrate_with_fault, fig1_faulted_calibration, fig1_interface_faulted, FaultMixture,
-};
-use ei_service::service::{fig1_calibration, fig1_interface, MlWebService};
 use serde::Serialize;
 
 /// One gate target: a closed interface plus its deployed calibration.
@@ -57,48 +52,9 @@ fn targets() -> Vec<Target> {
     let sec_cal = || Calibration::from_pairs([("sec", Energy::joules(1.0))]);
 
     // The Fig. 1 web service, healthy and fault-conditioned (§3 / E9).
-    let mut svc = MlWebService::new(
-        GpuSim::new(rtx4090()),
-        NicSim::new(datacenter_nic()),
-        256,
-        4096,
-    )
-    .expect("service fits");
-    let cal = svc.calibrate_cnn();
-    let nic = datacenter_nic();
-    out.push(Target {
-        name: "service: Fig. 1 interface",
-        iface: fig1_interface(
-            0.25,
-            0.8,
-            &cal,
-            &CacheEnergy::default(),
-            nic.e_byte,
-            nic.e_packet,
-        ),
-        cal: fig1_calibration(&cal),
-    });
-    let cal_br = calibrate_with_fault(&rtx4090(), 0.85, 0.25).expect("probe fits");
-    let mix = FaultMixture {
-        p_request_hit: 0.55,
-        p_local_hit: 0.8,
-        p_remote_alive: 0.9,
-        p_brownout: 0.3,
-        p_degraded_given_brownout: 0.5,
-        timeout_attempts_per_request: 0.02,
-    };
-    out.push(Target {
-        name: "service: fault-conditioned Fig. 1 interface",
-        iface: fig1_interface_faulted(
-            &mix,
-            &cal,
-            &cal_br,
-            &CacheEnergy::default(),
-            nic.e_byte,
-            nic.e_packet,
-        ),
-        cal: fig1_faulted_calibration(&cal, &cal_br),
-    });
+    for (name, iface, cal) in deployed_interfaces() {
+        out.push(Target { name, iface, cal });
+    }
 
     // GPT-2 single-stream and batch serving, linked over the vendor
     // hardware interfaces so every extern is resolved (§5 / E12).

@@ -10,25 +10,21 @@
 //! Writes the per-target report as JSON to `lint_report.json` (override
 //! with `LINT_REPORT_OUT`; set it empty to skip) so CI can archive it.
 
+use ei_bench::fig1::deployed_interfaces;
 use ei_bench::table1::fitted_gpt2_interface;
 use ei_core::interface::Interface;
 use ei_core::sema::{self, LintOptions};
 use ei_core::units::{Calibration, Energy};
 use ei_hw::cpu::big_little;
-use ei_hw::gpu::{rtx3070, rtx4090, GpuSim};
+use ei_hw::gpu::{rtx3070, rtx4090};
 use ei_hw::interfaces::{cpu_interface, gpu_interface, gpu_interface_dvfs, nic_interface};
-use ei_hw::nic::{datacenter_nic, wifi_radio, NicSim};
+use ei_hw::nic::{datacenter_nic, wifi_radio};
 use ei_llm::batch_interface::gpt2_batch_interface;
 use ei_llm::interface::gpt2_interface;
 use ei_llm::model::{gpt2_medium, gpt2_small};
 use ei_sched::cluster::{bigmem_node, compute_node};
 use ei_sched::fuzz::default_campaign;
 use ei_sched::provision::bursty_server_interface;
-use ei_service::cache::CacheEnergy;
-use ei_service::frontend::{
-    calibrate_with_fault, fig1_faulted_calibration, fig1_interface_faulted, FaultMixture,
-};
-use ei_service::service::{fig1_calibration, fig1_interface, MlWebService};
 use serde::Serialize;
 
 /// One gate target: a program (usually a single interface) plus the
@@ -114,52 +110,10 @@ fn targets() -> Vec<Target> {
         Calibration::empty(),
     ));
 
-    // The Fig. 1 web service, with the calibration the service measures.
-    let mut svc = MlWebService::new(
-        GpuSim::new(rtx4090()),
-        NicSim::new(datacenter_nic()),
-        256,
-        4096,
-    )
-    .expect("service fits");
-    let cal = svc.calibrate_cnn();
-    let nic = datacenter_nic();
-    out.push(target(
-        "service: Fig. 1 interface",
-        vec![fig1_interface(
-            0.25,
-            0.8,
-            &cal,
-            &CacheEnergy::default(),
-            nic.e_byte,
-            nic.e_packet,
-        )],
-        fig1_calibration(&cal),
-    ));
-
-    // The fault-conditioned Fig. 1 interface (§3 / E9), with a
-    // representative measured mixture and a browned-leaf calibration.
-    let cal_br = calibrate_with_fault(&rtx4090(), 0.85, 0.25).expect("probe fits");
-    let mix = FaultMixture {
-        p_request_hit: 0.55,
-        p_local_hit: 0.8,
-        p_remote_alive: 0.9,
-        p_brownout: 0.3,
-        p_degraded_given_brownout: 0.5,
-        timeout_attempts_per_request: 0.02,
-    };
-    out.push(target(
-        "service: fault-conditioned Fig. 1 interface",
-        vec![fig1_interface_faulted(
-            &mix,
-            &cal,
-            &cal_br,
-            &CacheEnergy::default(),
-            nic.e_byte,
-            nic.e_packet,
-        )],
-        fig1_faulted_calibration(&cal, &cal_br),
-    ));
+    // The Fig. 1 web service, healthy and fault-conditioned.
+    for (name, iface, cal) in deployed_interfaces() {
+        out.push(target(name, vec![iface], cal));
+    }
 
     // Scheduling examples (§1, §4.3).
     out.push(target(

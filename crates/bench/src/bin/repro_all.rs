@@ -1,169 +1,66 @@
-//! Runs every reproduction in sequence (Table 1 last; it is the slowest)
-//! and checks each report against the golden corpus as it completes.
+//! Runs the reproductions in `ei_bench::EXPERIMENTS` (Table 1 last; it is
+//! the slowest) and checks each report against its golden file as it
+//! completes.
 //!
-//! The whole run executes inside a telemetry session: alongside the
-//! rendered tables it writes `telemetry.json` (override the path with
+//! ```text
+//! repro_all                        # every experiment
+//! repro_all fig1 e8_provisioning   # only these ids
+//! ```
+//!
+//! An unknown id exits nonzero and lists the valid ids.
+//!
+//! The run executes inside a telemetry session: alongside the rendered
+//! tables it writes `telemetry.json` (override the path with
 //! `TELEMETRY_OUT`; set it empty to skip) — a deterministic, byte-stable
 //! trace of every span, counter, and histogram the run produced — and
 //! prints the same data as a Prometheus text dump.
 //!
-//! The run ends with one summary line per experiment (OK / MISMATCH /
-//! no golden) and exits nonzero if any report diverged from its frozen
-//! golden, so a scripted `repro_all` is a regression gate, not just a
-//! table printer.
+//! The run ends with one summary line per experiment (OK / MISMATCH) and
+//! exits nonzero if any report diverged from its golden or has none, so a
+//! scripted `repro_all` is a regression gate, not just a table printer.
+//! It only compares: goldens are blessed by the tests, never by this run.
 
-use ei_bench::golden::{self, GoldenStatus};
-use serde::Serialize;
-
-struct Summary {
-    lines: Vec<String>,
-    failures: Vec<String>,
-}
-
-impl Summary {
-    fn new() -> Self {
-        Summary {
-            lines: Vec::new(),
-            failures: Vec::new(),
-        }
-    }
-
-    /// Renders a report, diffs it against its golden file, and records
-    /// the verdict for the final summary table.
-    fn run<R: Serialize>(&mut self, label: &str, name: &str, report: &R, rendered: String) {
-        println!("{rendered}");
-        let status = golden::check(name, &report.to_value());
-        if let GoldenStatus::Mismatch(diffs) = &status {
-            for d in diffs {
-                self.failures.push(d.clone());
-            }
-        }
-        self.lines.push(golden::summary_line(label, name, &status));
-    }
-
-    /// Render-only experiments with no golden file of their own.
-    fn run_unlocked(&mut self, label: &str, rendered: String) {
-        println!("{rendered}");
-        self.lines
-            .push(golden::summary_line(label, "-", &GoldenStatus::Missing));
-    }
-}
+use ei_bench::{golden, Experiment, EXPERIMENTS};
 
 fn main() {
+    let ids: Vec<String> = std::env::args().skip(1).collect();
+    let selected: Vec<&Experiment> = if ids.is_empty() {
+        EXPERIMENTS.iter().collect()
+    } else {
+        let mut selected = Vec::new();
+        for id in &ids {
+            match EXPERIMENTS.iter().find(|e| e.id == id.as_str()) {
+                Some(e) => selected.push(e),
+                None => {
+                    let valid: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+                    eprintln!(
+                        "repro_all: unknown experiment `{id}`; valid ids: {}",
+                        valid.join(" ")
+                    );
+                    std::process::exit(2);
+                }
+            }
+        }
+        selected
+    };
+
     let session = ei_telemetry::session();
-    let mut summary = Summary::new();
-
-    let fig2 = ei_bench::fig2::run();
-    summary.run(
-        "Fig 2 full stack",
-        "fig2.json",
-        &fig2,
-        ei_bench::fig2::render(&fig2),
-    );
-
-    let eas = ei_bench::experiments::run_eas();
-    summary.run(
-        "E1 EAS",
-        "e1_eas.json",
-        &eas,
-        ei_bench::experiments::render_eas(&eas),
-    );
-
-    let cluster = ei_bench::experiments::run_cluster();
-    summary.run(
-        "E2 cluster",
-        "e2_cluster.json",
-        &cluster,
-        ei_bench::experiments::render_cluster(&cluster),
-    );
-
-    let fuzz = ei_bench::experiments::run_fuzz();
-    summary.run(
-        "E3 fuzz",
-        "e3_fuzz.json",
-        &fuzz,
-        ei_bench::experiments::render_fuzz(&fuzz),
-    );
-
-    let marginal = ei_bench::experiments::run_marginal();
-    summary.run(
-        "E4 marginal",
-        "e4_marginal.json",
-        &marginal,
-        ei_bench::experiments::render_marginal(&marginal),
-    );
-
-    let sidechannel = ei_bench::experiments::run_sidechannel();
-    summary.run(
-        "E5 side channel",
-        "e5_sidechannel.json",
-        &sidechannel,
-        ei_bench::experiments::render_sidechannel(&sidechannel),
-    );
-
-    let bughunt = ei_bench::experiments::run_bughunt();
-    summary.run(
-        "E6 bug hunt",
-        "e6_bughunt.json",
-        &bughunt,
-        ei_bench::experiments::render_bughunt(&bughunt),
-    );
-
-    let composition = ei_bench::experiments::run_composition();
-    summary.run(
-        "E7 composition",
-        "e7_composition.json",
-        &composition,
-        ei_bench::experiments::render_composition(&composition),
-    );
-
-    let faults = ei_bench::experiments::run_faults();
-    summary.run(
-        "E9 faults",
-        "e9_faults.json",
-        &faults,
-        ei_bench::experiments::render_faults(&faults),
-    );
-
-    // E10 and E11 run their smoke shapes here; the full shapes have their
-    // own binaries (`cluster_sim`, `drift_recal`).
-    let e10 = ei_bench::cluster::run_with(&ei_bench::cluster::E10Config::smoke());
-    summary.run(
-        "E10 cluster DES",
-        "e10_cluster.json",
-        &e10,
-        ei_bench::cluster::render(&e10),
-    );
-
-    let e11 = ei_bench::drift::run_with(&ei_bench::drift::E11Config::smoke());
-    summary.run(
-        "E11 drift recal",
-        "e11_drift.json",
-        &e11,
-        ei_bench::drift::render(&e11),
-    );
-
-    let e12 = ei_bench::llm_pareto::run_with(&ei_bench::llm_pareto::E12Config::smoke());
-    summary.run(
-        "E12 LLM Pareto",
-        "e12_llm.json",
-        &e12,
-        ei_bench::llm_pareto::render(&e12),
-    );
-
-    let ablation = ei_bench::ablation::run();
-    summary.run_unlocked("Cache ablation", ei_bench::ablation::render(&ablation));
-
-    let fig1 = ei_bench::fig1::run();
-    summary.run_unlocked("Fig 1 service", ei_bench::fig1::render(&fig1));
-
-    let table1 = ei_bench::table1::run();
-    summary.run(
-        "Table 1",
-        "table1.json",
-        &table1,
-        ei_bench::table1::render(&table1),
-    );
+    let mut summary = Vec::new();
+    let mut failures = Vec::new();
+    for e in selected {
+        let (report, rendered) = (e.run)();
+        println!("{rendered}");
+        let name = format!("{}.json", e.id);
+        let verdict = match golden::check_json(&name, &report) {
+            Ok(()) => "OK".to_string(),
+            Err(diffs) => {
+                let verdict = format!("MISMATCH ({} diff(s))", diffs.len());
+                failures.extend(diffs);
+                verdict
+            }
+        };
+        summary.push(format!("  {:<22} {verdict:<20} {name}", e.label));
+    }
 
     let snapshot = session.finish();
     println!("=== Telemetry (Prometheus text format) ===\n");
@@ -176,15 +73,15 @@ fn main() {
     }
 
     println!("\n=== Golden summary ===\n");
-    for line in &summary.lines {
+    for line in &summary {
         println!("{line}");
     }
-    if !summary.failures.is_empty() {
-        eprintln!("\n{} golden diff(s):", summary.failures.len());
-        for d in &summary.failures {
+    if !failures.is_empty() {
+        eprintln!("\n{} golden diff(s):", failures.len());
+        for d in &failures {
             eprintln!("  {d}");
         }
         std::process::exit(1);
     }
-    println!("\nall locked experiments match the golden corpus");
+    println!("\nall experiments match the golden corpus");
 }

@@ -5,7 +5,8 @@
 //! herd after mass node death, an autoscaler-flapping square wave. The
 //! runner deserializes the fixture into the simulator's own config types,
 //! runs both shipped policies, and locks the resulting report against a
-//! byte-stable golden under `tests/golden/cluster/`.
+//! golden under `tests/golden/cluster/` through `ei_bench::golden`'s
+//! tolerant JSON check.
 //!
 //! To regenerate after an intentional behaviour change:
 //!
@@ -15,18 +16,13 @@
 //!
 //! then review the golden diff like any other code change.
 
+use ei_bench::golden::assert_json;
 use ei_core::cache::EvalCache;
 use ei_hw::faults::FaultPlan;
 use ei_sched::des::{
     run_cluster_sim, ClusterSpec, EnergyLb, RunStats, SimConfig, SimTime, UtilizationLb,
 };
 use serde::{Deserialize, Serialize, Value};
-
-/// Numeric slack for cross-platform libm differences; everything
-/// non-numeric must match exactly (same convention as
-/// `golden_experiments`).
-const REL_TOL: f64 = 1e-6;
-const ABS_TOL: f64 = 1e-12;
 
 /// One fixture: cluster shape, workload, and fault schedule.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -96,76 +92,6 @@ fn run_scenario(s: &Scenario) -> ScenarioReport {
     }
 }
 
-/// Diffs `actual` against `tests/golden/cluster/<name>.json`, or rewrites
-/// the golden when `GOLDEN_BLESS=1`.
-fn check_golden(name: &str, actual: &Value) {
-    let path = repo_path(&format!("tests/golden/cluster/{name}.json"));
-    if std::env::var("GOLDEN_BLESS").as_deref() == Ok("1") {
-        let rendered = serde_json::to_string_pretty(actual).unwrap();
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, rendered + "\n").unwrap();
-        return;
-    }
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run GOLDEN_BLESS=1 cargo test \
-             --test cluster_scenarios to create it",
-            path.display()
-        )
-    });
-    let expected: Value = serde_json::from_str(&text).unwrap();
-    let mut diffs = Vec::new();
-    diff_value(&expected, actual, name.to_string(), &mut diffs);
-    assert!(
-        diffs.is_empty(),
-        "golden mismatch in {name} ({} diff(s)):\n{}",
-        diffs.len(),
-        diffs.join("\n")
-    );
-}
-
-/// Structural diff: numbers within tolerance, everything else exact.
-fn diff_value(expected: &Value, actual: &Value, path: String, diffs: &mut Vec<String>) {
-    match (expected, actual) {
-        (e, a) if e.as_f64().is_some() && a.as_f64().is_some() => {
-            let (e, a) = (e.as_f64().unwrap(), a.as_f64().unwrap());
-            let scale = e.abs().max(a.abs());
-            if (e - a).abs() > ABS_TOL + REL_TOL * scale {
-                diffs.push(format!("{path}: expected {e}, got {a}"));
-            }
-        }
-        (Value::Array(e), Value::Array(a)) => {
-            if e.len() != a.len() {
-                diffs.push(format!(
-                    "{path}: expected {} elements, got {}",
-                    e.len(),
-                    a.len()
-                ));
-                return;
-            }
-            for (i, (ev, av)) in e.iter().zip(a).enumerate() {
-                diff_value(ev, av, format!("{path}[{i}]"), diffs);
-            }
-        }
-        (Value::Object(e), Value::Object(a)) => {
-            let ekeys: Vec<&str> = e.iter().map(|(k, _)| k.as_str()).collect();
-            let akeys: Vec<&str> = a.iter().map(|(k, _)| k.as_str()).collect();
-            if ekeys != akeys {
-                diffs.push(format!("{path}: keys {ekeys:?} vs {akeys:?}"));
-                return;
-            }
-            for ((k, ev), (_, av)) in e.iter().zip(a) {
-                diff_value(ev, av, format!("{path}.{k}"), diffs);
-            }
-        }
-        (e, a) => {
-            if e != a {
-                diffs.push(format!("{path}: expected {e:?}, got {a:?}"));
-            }
-        }
-    }
-}
-
 fn check_scenario(name: &str) -> ScenarioReport {
     let scenario = load_scenario(name);
     let report = run_scenario(&scenario);
@@ -179,7 +105,7 @@ fn check_scenario(name: &str) -> ScenarioReport {
         report.energy.completed + report.energy.shed + report.energy.unserved,
         "energy conservation"
     );
-    check_golden(name, &report.to_value());
+    assert_json(&format!("cluster/{name}.json"), &report.to_value());
     report
 }
 

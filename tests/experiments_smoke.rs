@@ -1,5 +1,7 @@
-//! Smoke tests that every reproduction in `ei-bench` runs and reaches the
-//! paper's qualitative conclusions (the full runs live in the binaries).
+//! Smoke tests that the reproductions in `ei-bench` reach the paper's
+//! qualitative conclusions. The numbers themselves are locked by
+//! `golden_experiments` (one test per `ei_bench::EXPERIMENTS` entry), and
+//! `repro_all` prints the rendered tables.
 
 use ei_bench::experiments;
 use ei_bench::fig2;

@@ -1,12 +1,12 @@
 //! Golden-corpus regression over the paper's headline numbers.
 //!
-//! Every report the `--json` binaries emit (Table 1, experiments E1–E7,
-//! the E9 fault matrix, the E10–E12 smoke shapes, and the Fig. 2
-//! full-stack rows) is frozen
-//! as JSON under `tests/golden/`. The tests re-run each experiment and
-//! diff the serialized tree against the golden file, comparing numbers
-//! with a relative tolerance so libm differences across platforms don't
-//! produce false alarms — everything else must match exactly.
+//! Every entry of `ei_bench::EXPERIMENTS` (Table 1, Figs. 1–2, experiments
+//! E1–E9, the E10–E12 smoke shapes, and the A1 ablation) freezes its report
+//! as JSON in `tests/golden/<id>.json`. Each test below re-runs one entry
+//! and diffs the serialized tree against its golden file through
+//! `ei_bench::golden`, comparing numbers with a relative tolerance so libm
+//! differences across platforms don't produce false alarms — everything
+//! else must match exactly.
 //!
 //! To regenerate after an intentional behaviour change:
 //!
@@ -17,160 +17,70 @@
 //! then review the diff of `tests/golden/*.json` like any other code
 //! change.
 
-use serde::{Serialize, Value};
+use std::collections::BTreeSet;
 
-/// Relative tolerance for numeric leaves. All experiment seeds are fixed,
-/// so runs are deterministic on one machine; the slack only absorbs
-/// cross-platform libm (`exp`/`ln`/`powf`) differences.
-const REL_TOL: f64 = 1e-6;
-/// Absolute floor for comparisons near zero.
-const ABS_TOL: f64 = 1e-12;
-
-fn golden_path(name: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
-/// Diffs `actual` against the golden file `name`, or rewrites the file
-/// when `GOLDEN_BLESS=1`.
-fn check_golden(name: &str, actual: &Value) {
-    let path = golden_path(name);
-    if std::env::var("GOLDEN_BLESS").as_deref() == Ok("1") {
-        let rendered = serde_json::to_string_pretty(actual).unwrap();
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, rendered + "\n").unwrap();
-        return;
-    }
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run GOLDEN_BLESS=1 cargo test \
-             --test golden_experiments to create it",
-            path.display()
-        )
-    });
-    let expected: Value = serde_json::from_str(&text).unwrap();
-    let mut diffs = Vec::new();
-    diff_value(&expected, actual, name.to_string(), &mut diffs);
-    assert!(
-        diffs.is_empty(),
-        "golden mismatch in {name} ({} diff(s)):\n{}",
-        diffs.len(),
-        diffs.join("\n")
-    );
-}
-
-/// Structural diff: numbers within tolerance, everything else exact.
-fn diff_value(expected: &Value, actual: &Value, path: String, diffs: &mut Vec<String>) {
-    match (expected, actual) {
-        (e, a) if e.as_f64().is_some() && a.as_f64().is_some() => {
-            let (e, a) = (e.as_f64().unwrap(), a.as_f64().unwrap());
-            let scale = e.abs().max(a.abs());
-            if (e - a).abs() > ABS_TOL + REL_TOL * scale {
-                diffs.push(format!("{path}: expected {e}, got {a}"));
-            }
-        }
-        (Value::Array(e), Value::Array(a)) => {
-            if e.len() != a.len() {
-                diffs.push(format!(
-                    "{path}: expected {} elements, got {}",
-                    e.len(),
-                    a.len()
-                ));
-                return;
-            }
-            for (i, (ev, av)) in e.iter().zip(a).enumerate() {
-                diff_value(ev, av, format!("{path}[{i}]"), diffs);
-            }
-        }
-        (Value::Object(e), Value::Object(a)) => {
-            let ekeys: Vec<&str> = e.iter().map(|(k, _)| k.as_str()).collect();
-            let akeys: Vec<&str> = a.iter().map(|(k, _)| k.as_str()).collect();
-            if ekeys != akeys {
-                diffs.push(format!("{path}: keys {ekeys:?} vs {akeys:?}"));
-                return;
-            }
-            for ((k, ev), (_, av)) in e.iter().zip(a) {
-                diff_value(ev, av, format!("{path}.{k}"), diffs);
-            }
-        }
-        (e, a) => {
-            if e != a {
-                diffs.push(format!("{path}: expected {e:?}, got {a:?}"));
-            }
-        }
-    }
-}
+use ei_bench::golden::{assert_experiment, blessing, golden_dir};
+use ei_bench::EXPERIMENTS;
+use serde::Value;
 
 #[test]
 fn table1_matches_golden() {
-    check_golden("table1.json", &ei_bench::table1::run().to_value());
+    assert_experiment("table1");
+}
+
+#[test]
+fn fig1_matches_golden() {
+    assert_experiment("fig1");
 }
 
 #[test]
 fn fig2_full_stack_matches_golden() {
-    check_golden("fig2.json", &ei_bench::fig2::run().to_value());
+    assert_experiment("fig2");
 }
 
 #[test]
 fn e1_eas_matches_golden() {
-    check_golden("e1_eas.json", &ei_bench::experiments::run_eas().to_value());
+    assert_experiment("e1_eas");
 }
 
 #[test]
 fn e2_cluster_matches_golden() {
-    check_golden(
-        "e2_cluster.json",
-        &ei_bench::experiments::run_cluster().to_value(),
-    );
+    assert_experiment("e2_cluster");
 }
 
 #[test]
 fn e3_fuzz_matches_golden() {
-    check_golden(
-        "e3_fuzz.json",
-        &ei_bench::experiments::run_fuzz().to_value(),
-    );
+    assert_experiment("e3_fuzz");
 }
 
 #[test]
 fn e4_marginal_matches_golden() {
-    check_golden(
-        "e4_marginal.json",
-        &ei_bench::experiments::run_marginal().to_value(),
-    );
+    assert_experiment("e4_marginal");
 }
 
 #[test]
 fn e5_sidechannel_matches_golden() {
-    check_golden(
-        "e5_sidechannel.json",
-        &ei_bench::experiments::run_sidechannel().to_value(),
-    );
+    assert_experiment("e5_sidechannel");
 }
 
 #[test]
 fn e6_bughunt_matches_golden() {
-    check_golden(
-        "e6_bughunt.json",
-        &ei_bench::experiments::run_bughunt().to_value(),
-    );
+    assert_experiment("e6_bughunt");
 }
 
 #[test]
 fn e7_composition_matches_golden() {
-    check_golden(
-        "e7_composition.json",
-        &ei_bench::experiments::run_composition().to_value(),
-    );
+    assert_experiment("e7_composition");
+}
+
+#[test]
+fn e8_provisioning_matches_golden() {
+    assert_experiment("e8_provisioning");
 }
 
 #[test]
 fn e9_faults_matches_golden() {
-    check_golden(
-        "e9_faults.json",
-        &ei_bench::experiments::run_faults().to_value(),
-    );
+    assert_experiment("e9_faults");
 }
 
 /// E10 at the CI smoke shape (10 nodes / 10k requests). The full
@@ -178,10 +88,7 @@ fn e9_faults_matches_golden() {
 /// assertions and archived as `BENCH_cluster.json` in CI.
 #[test]
 fn e10_cluster_smoke_matches_golden() {
-    check_golden(
-        "e10_cluster.json",
-        &ei_bench::cluster::run_with(&ei_bench::cluster::E10Config::smoke()).to_value(),
-    );
+    assert_experiment("e10_cluster");
 }
 
 /// E11 at the CI smoke shape (1200 requests per scenario). The full
@@ -189,10 +96,7 @@ fn e10_cluster_smoke_matches_golden() {
 /// assertions and archived as `BENCH_drift.json` in CI.
 #[test]
 fn e11_drift_smoke_matches_golden() {
-    check_golden(
-        "e11_drift.json",
-        &ei_bench::drift::run_with(&ei_bench::drift::E11Config::smoke()).to_value(),
-    );
+    assert_experiment("e11_drift");
 }
 
 /// E12 at the CI smoke shape (one model, four operating points). The
@@ -200,41 +104,78 @@ fn e11_drift_smoke_matches_golden() {
 /// assertions and archived as `BENCH_llm.json` in CI.
 #[test]
 fn e12_llm_smoke_matches_golden() {
-    check_golden(
-        "e12_llm.json",
-        &ei_bench::llm_pareto::run_with(&ei_bench::llm_pareto::E12Config::smoke()).to_value(),
-    );
+    assert_experiment("e12_llm");
 }
 
-/// The golden corpus itself must be well-formed JSON that round-trips
-/// through the serializer (guards against hand-edited corruption).
 #[test]
-fn golden_corpus_is_well_formed() {
-    if std::env::var("GOLDEN_BLESS").as_deref() == Ok("1") {
-        // Files are being rewritten concurrently by the other tests.
-        return;
+fn ablation_matches_golden() {
+    assert_experiment("ablation");
+}
+
+#[test]
+fn experiment_ids_are_unique() {
+    let mut seen = BTreeSet::new();
+    for e in EXPERIMENTS {
+        assert!(seen.insert(e.id), "duplicate experiment id `{}`", e.id);
     }
-    let dir = golden_path("");
-    let mut count = 0;
-    for entry in std::fs::read_dir(&dir).expect("tests/golden exists") {
+}
+
+/// Every top-level golden file belongs to exactly one experiment, so a
+/// golden whose experiment was removed or renamed fails here instead of
+/// going stale. The Table 1 telemetry trace is pinned by
+/// `telemetry_golden`, not by an experiment.
+#[test]
+fn every_golden_is_claimed_by_one_experiment() {
+    for entry in std::fs::read_dir(golden_dir()).expect("tests/golden exists") {
         let path = entry.unwrap().path();
         if path.extension().is_none_or(|e| e != "json") {
             continue;
         }
-        let text = std::fs::read_to_string(&path).unwrap();
-        let value: Value =
-            serde_json::from_str(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let rendered = serde_json::to_string_pretty(&value).unwrap() + "\n";
+        let stem = path.file_stem().unwrap().to_string_lossy();
+        if stem == "telemetry_table1" {
+            continue;
+        }
+        let owners = EXPERIMENTS.iter().filter(|e| e.id == stem).count();
         assert_eq!(
-            rendered,
-            text,
-            "{} is not in canonical pretty format",
+            owners,
+            1,
+            "{} is claimed by {owners} experiments",
             path.display()
         );
-        count += 1;
+    }
+}
+
+/// The golden corpus itself (the experiment reports and the cluster
+/// scenario reports) must be well-formed JSON that round-trips through
+/// the serializer (guards against hand-edited corruption).
+#[test]
+fn golden_corpus_is_well_formed() {
+    if blessing() {
+        // Files are being rewritten concurrently by the other tests.
+        return;
+    }
+    let mut count = 0;
+    for dir in [golden_dir(), golden_dir().join("cluster")] {
+        for entry in std::fs::read_dir(&dir).expect("golden directory exists") {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|e| e != "json") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let value: Value =
+                serde_json::from_str(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let rendered = serde_json::to_string_pretty(&value).unwrap() + "\n";
+            assert_eq!(
+                rendered,
+                text,
+                "{} is not in canonical pretty format",
+                path.display()
+            );
+            count += 1;
+        }
     }
     assert!(
-        count >= 10,
-        "expected at least 10 golden files, found {count}"
+        count >= EXPERIMENTS.len() + 3,
+        "expected every experiment and cluster golden, found {count} files"
     );
 }

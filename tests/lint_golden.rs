@@ -19,6 +19,7 @@
 //!
 //! then review the diff of `tests/golden/lint/*` like any other code change.
 
+use ei_bench::golden::assert_text;
 use energy_clarity::core::parser::parse_all;
 use energy_clarity::core::sema::{self, LintOptions};
 
@@ -48,29 +49,6 @@ fn repo_path(rel: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
 }
 
-/// Compares `actual` byte-for-byte against the golden file `name`, or
-/// rewrites the file when `GOLDEN_BLESS=1`.
-fn check_golden(name: &str, actual: &str) {
-    let path = repo_path(&format!("tests/golden/lint/{name}"));
-    if std::env::var("GOLDEN_BLESS").as_deref() == Ok("1") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run GOLDEN_BLESS=1 cargo test \
-             --test lint_golden to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        expected, actual,
-        "golden mismatch in {name}; if intentional, regenerate with \
-         GOLDEN_BLESS=1 cargo test --test lint_golden"
-    );
-}
-
 #[test]
 fn bad_eil_corpus_matches_golden_reports() {
     for (stem, defects) in fixtures() {
@@ -93,8 +71,8 @@ fn bad_eil_corpus_matches_golden_reports() {
         // ...and nothing is silently clean.
         assert!(!diags.is_empty(), "{stem}: fixture lints clean");
 
-        check_golden(&format!("{stem}.txt"), &diags.render_text());
-        check_golden(&format!("{stem}.json"), &diags.render_json());
+        assert_text(&format!("lint/{stem}.txt"), &diags.render_text());
+        assert_text(&format!("lint/{stem}.json"), &diags.render_json());
     }
 }
 

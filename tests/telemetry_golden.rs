@@ -7,13 +7,6 @@
 //! exact diff against `tests/golden/telemetry_table1.json`. Regenerate
 //! deliberately with `GOLDEN_BLESS=1 cargo test --test telemetry_golden`.
 
-use std::fs;
-use std::path::PathBuf;
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/telemetry_table1.json")
-}
-
 #[test]
 fn telemetry_table1_golden_trace() {
     let session = ei_telemetry::session();
@@ -24,24 +17,5 @@ fn telemetry_table1_golden_trace() {
         // Telemetry compiled out: there is no trace to pin.
         return;
     }
-
-    let actual = snap.to_json_pretty();
-    let path = golden_path();
-
-    if std::env::var("GOLDEN_BLESS").is_ok_and(|v| !v.is_empty() && v != "0") {
-        fs::write(&path, &actual).expect("write golden trace");
-        return;
-    }
-
-    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden trace {} ({e}); run with GOLDEN_BLESS=1 to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        actual, expected,
-        "telemetry trace for Table 1 changed; if intentional, regenerate with \
-         GOLDEN_BLESS=1 cargo test --test telemetry_golden"
-    );
+    ei_bench::golden::assert_text("telemetry_table1.json", &snap.to_json_pretty());
 }

@@ -18,6 +18,7 @@
 
 use std::collections::BTreeMap;
 
+use ei_bench::golden::assert_text;
 use ei_core::interp::{eval_with_assignment, EvalConfig, ExecMode};
 use ei_core::value::Value;
 
@@ -67,29 +68,6 @@ fn repo_path(rel: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
 }
 
-/// Compares `actual` byte-for-byte against `tests/golden/vm/<name>`, or
-/// rewrites the file when `GOLDEN_BLESS=1`.
-fn check_golden(name: &str, actual: &str) {
-    let path = repo_path(&format!("tests/golden/vm/{name}"));
-    if std::env::var("GOLDEN_BLESS").as_deref() == Ok("1") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run GOLDEN_BLESS=1 cargo test \
-             --test vm_golden to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        expected, actual,
-        "golden mismatch in {name}; if intentional, regenerate with \
-         GOLDEN_BLESS=1 cargo test --test vm_golden"
-    );
-}
-
 /// `(golden stem, interface source)` for every locked program.
 fn corpus() -> Vec<(&'static str, String)> {
     let read = |rel: &str| {
@@ -108,8 +86,8 @@ fn disassembly_matches_golden() {
     for (stem, src) in corpus() {
         let iface = ei_core::parser::parse(&src).unwrap_or_else(|e| panic!("{stem}: {e}"));
         let program = ei_core::vm::compile(&iface).unwrap_or_else(|e| panic!("{stem}: {e}"));
-        check_golden(
-            &format!("{stem}.disasm"),
+        assert_text(
+            &format!("vm/{stem}.disasm"),
             &ei_core::vm::disassemble(&program),
         );
     }
