@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use ei_core::ast::{BinOp, Builtin, Expr, FnDef, Stmt};
 use ei_core::ecv::{DistSpec, EcvDecl};
-use ei_core::interface::Interface;
+use ei_core::interface::{InputSpec, Interface};
 
 /// Small positive literal that prints and re-parses losslessly.
 pub fn arb_lit() -> impl Strategy<Value = f64> {
@@ -221,4 +221,91 @@ pub fn arb_vm_interface() -> impl Strategy<Value = Interface> {
         .unwrap();
         i
     })
+}
+
+/// `fn acc(n, x)`: a `for` loop whose trip count is the parameter `n` and
+/// whose two-statement body feeds one accumulator into the next, so the
+/// second statement reads the first one's post-update value:
+///
+/// ```text
+/// let a = <a0> mJ; let b = <b0> mJ;
+/// for i in 0..n { a = a + <d> * <k> * 1 mJ; b = b + a * <m>; }
+/// if ecv(hot) { return b + <t> * 1 mJ; } else { return b; }
+/// ```
+///
+/// `<k>` and `<m>` are each `1`, `x`, `i` or `ecv(mix)`; `<t>` is `1`,
+/// `x` or `ecv(mix)`. `<d>` may be negative, so `a` can cross zero inside
+/// the loop. The input spec is `n` in `[0, trips]`, `x` in `[0, 4]`.
+pub fn arb_accumulator_interface() -> impl Strategy<Value = Interface> {
+    (
+        (0u32..=6, 0u32..=20, -3i32..=3, 1u32..=6),
+        (0u32..4, 0u32..4, 0u32..3),
+        (-2i32..=2, 0u32..=3, 0.0f64..=1.0),
+    )
+        .prop_map(|((a0, b0, d, trips), (k, m, t), (mix_lo, mix_w, p))| {
+            let factor = |pick: u32| match pick {
+                0 => Expr::Num(1.0),
+                1 => Expr::var("x"),
+                2 => Expr::var("i"),
+                _ => Expr::Ecv("mix".into()),
+            };
+            let mj = |k: f64| Expr::Joules(k * 1e-3);
+            let mut i = Interface::new("acc");
+            i.add_ecv(
+                "hot",
+                EcvDecl {
+                    dist: DistSpec::Bernoulli { p },
+                    doc: String::new(),
+                },
+            )
+            .unwrap();
+            i.add_ecv(
+                "mix",
+                EcvDecl {
+                    dist: DistSpec::Uniform {
+                        lo: f64::from(mix_lo),
+                        hi: f64::from(mix_lo) + f64::from(mix_w),
+                    },
+                    doc: String::new(),
+                },
+            )
+            .unwrap();
+            let step_a = Expr::bin(
+                BinOp::Mul,
+                Expr::bin(BinOp::Mul, Expr::Num(f64::from(d)), factor(k)),
+                mj(1.0),
+            );
+            let step_b = Expr::bin(BinOp::Mul, Expr::var("a"), factor(m));
+            let tail = Expr::bin(BinOp::Mul, factor([0, 1, 3][t as usize]), mj(1.0));
+            i.add_fn(FnDef::new(
+                "acc",
+                vec!["n".into(), "x".into()],
+                vec![
+                    Stmt::Let("a".into(), mj(f64::from(a0))),
+                    Stmt::Let("b".into(), mj(f64::from(b0))),
+                    Stmt::For {
+                        var: "i".into(),
+                        from: Expr::Num(0.0),
+                        to: Expr::var("n"),
+                        body: vec![
+                            Stmt::Assign("a".into(), Expr::bin(BinOp::Add, Expr::var("a"), step_a)),
+                            Stmt::Assign("b".into(), Expr::bin(BinOp::Add, Expr::var("b"), step_b)),
+                        ],
+                    },
+                    Stmt::If(
+                        Expr::Ecv("hot".into()),
+                        vec![Stmt::Return(Expr::bin(BinOp::Add, Expr::var("b"), tail))],
+                        vec![Stmt::Return(Expr::var("b"))],
+                    ),
+                ],
+            ))
+            .unwrap();
+            i.set_input_spec(
+                "acc",
+                InputSpec::new()
+                    .range("n", 0.0, f64::from(trips))
+                    .range("x", 0.0, 4.0),
+            );
+            i
+        })
 }
