@@ -9,17 +9,17 @@
 //! every concrete execution, not just the ones a sweep happened to
 //! sample.
 //!
-//! Bounds come from the interval abstract interpreter
-//! ([`crate::analysis::worst_case`]); monotonicity comes from a
-//! *directional* abstract interpretation implemented here: every abstract
-//! value carries, alongside its interval, the sign of its dependence on
-//! one target variable (a parameter or a numeric ECV). The direction
-//! lattice is `Constant ⊑ {NonDecreasing, NonIncreasing} ⊑ Unknown`;
-//! transfer functions only strengthen a claim when it is provable
-//! (products need sign information, branches on target-dependent
+//! Both come from one walk of the interval abstract interpreter
+//! ([`crate::analysis::interval`]). Each scalar parameter and each
+//! numeric ECV is a *target* of that walk: alongside its interval, every
+//! abstract value carries the direction of its dependence on each target.
+//! The result's interval is the bound; its directions are the verdicts.
+//! The direction lattice is `Constant ⊑ {NonDecreasing, NonIncreasing} ⊑
+//! Unknown`; transfer functions only strengthen a claim when it is
+//! provable (products need sign information, branches on target-dependent
 //! conditions poison the result, loops with target-dependent trip counts
-//! certify only the accumulate-non-negative pattern). `Unknown` is always
-//! sound.
+//! certify only accumulators whose every increment, as the body evaluates
+//! it, keeps one sign). `Unknown` is always sound.
 //!
 //! Certificates render to canonical JSON — sorted keys, no insignificant
 //! whitespace, shortest-roundtrip floats — so byte equality is
@@ -28,15 +28,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::analysis::interval::{
-    abs_binary, abs_builtin, abstract_inputs, ecv_abs_value, AbsBool, AbsValue, Interval,
-    MAX_ABSTRACT_TRIPS,
-};
-use crate::analysis::worst_case::{worst_case, EnergyBound};
-use crate::ast::{BinOp, Builtin, Expr, Stmt, UnOp};
+use crate::analysis::interval::{abstract_eval_dirs, abstract_inputs, Dirs, Val, MAX_TARGETS};
+use crate::analysis::worst_case::{energy_bound, EnergyBound};
 use crate::cache::fingerprint_interface;
 use crate::ecv::DistSpec;
-use crate::error::{Error, NameKind, Result};
+use crate::error::{Error, Result};
 use crate::interface::{InputSpec, Interface};
 use crate::units::Calibration;
 
@@ -171,831 +167,56 @@ pub fn certify(iface: &Interface, cal: &Calibration) -> Result<Certificate> {
 
 /// Certifies one function over `spec`: a finite guaranteed energy bound
 /// plus monotonicity verdicts for every scalar parameter and numeric ECV.
+///
+/// One abstract walk yields both: the interval of its result is the
+/// bound, and its directions are the verdicts, each parameter and ECV
+/// being one target of the walk. A target past the walk's
+/// [`MAX_TARGETS`] is untracked and reported `Unknown`.
 pub fn certify_fn(
     iface: &Interface,
     func: &str,
     spec: &InputSpec,
     cal: &Calibration,
 ) -> Result<FnCertificate> {
-    let bound = worst_case(iface, func, spec, cal)?;
+    let inputs = abstract_inputs(iface, func, spec)?;
+    // Verdict keys, one per target in bit order.
+    let mut keys: Vec<String> = Vec::new();
+    let mut target = |key: String| {
+        let t = keys.len();
+        keys.push(key);
+        if t < MAX_TARGETS {
+            Dirs::up(t)
+        } else {
+            Dirs::ZERO
+        }
+    };
+    let mut args = Vec::with_capacity(inputs.len());
+    for (p, val) in iface.get_fn(func)?.params.iter().zip(inputs) {
+        let dirs = match spec.get(p) {
+            Some(_) => target(p.clone()),
+            None => Dirs::ZERO,
+        };
+        args.push(Val { val, dirs });
+    }
+    let mut ecv_dirs = BTreeMap::new();
+    for (name, decl) in iface.ecvs.iter() {
+        if !matches!(decl.dist, DistSpec::Bernoulli { .. }) {
+            ecv_dirs.insert(name.as_str(), target(format!("ecv({name})")));
+        }
+    }
+    let out = abstract_eval_dirs(iface, func, args, ecv_dirs)?;
+    let bound = energy_bound(&out.val, cal)?;
     if !bound.lower.as_joules().is_finite() || !bound.upper.as_joules().is_finite() {
         return Err(Error::Analysis {
             msg: format!("certified bound for `{func}` is not finite"),
         });
     }
-    let f = iface.get_fn(func)?;
-    let mut monotone = BTreeMap::new();
-    for (idx, p) in f.params.iter().enumerate() {
-        if spec.get(p).is_some() {
-            monotone.insert(
-                p.clone(),
-                monotone_in(iface, func, spec, Target::Param(idx)),
-            );
-        }
-    }
-    for (name, decl) in iface.ecvs.iter() {
-        if !matches!(decl.dist, DistSpec::Bernoulli { .. }) {
-            monotone.insert(
-                format!("ecv({name})"),
-                monotone_in(iface, func, spec, Target::Ecv(name)),
-            );
-        }
-    }
-    Ok(FnCertificate { bound, monotone })
-}
-
-/// The variable a directional analysis differentiates against.
-#[derive(Clone, Copy)]
-enum Target<'a> {
-    /// Parameter by position.
-    Param(usize),
-    /// Numeric ECV by name.
-    Ecv(&'a str),
-}
-
-/// Computes the monotonicity of `func` in `target`; any analysis failure
-/// degrades to [`Monotonicity::Unknown`] (never unsound, never an error).
-fn monotone_in(
-    iface: &Interface,
-    func: &str,
-    spec: &InputSpec,
-    target: Target<'_>,
-) -> Monotonicity {
-    let Ok(args) = abstract_inputs(iface, func, spec) else {
-        return Monotonicity::Unknown;
-    };
-    let dargs: Vec<DVal> = args
+    let monotone = keys
         .into_iter()
         .enumerate()
-        .map(|(i, v)| {
-            let dir = match target {
-                Target::Param(t) if t == i => Dir::Up,
-                _ => Dir::Zero,
-            };
-            DVal { val: v, dir }
-        })
+        .map(|(t, key)| (key, out.dirs.verdict(t)))
         .collect();
-    let ecv_target = match target {
-        Target::Ecv(name) => Some(name),
-        Target::Param(_) => None,
-    };
-    let mut ev = DirEval {
-        iface,
-        ecv_target,
-        depth: 0,
-    };
-    match ev.call(func, dargs) {
-        Ok(dv) => match dv.dir {
-            Dir::Zero => Monotonicity::Constant,
-            Dir::Up => Monotonicity::NonDecreasing,
-            Dir::Down => Monotonicity::NonIncreasing,
-            Dir::Unknown => Monotonicity::Unknown,
-        },
-        Err(_) => Monotonicity::Unknown,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Directional abstract interpretation
-// ---------------------------------------------------------------------------
-
-/// Direction of dependence on the target variable. `Zero` means provably
-/// constant in the target; `Up`/`Down` mean provably non-decreasing /
-/// non-increasing; `Unknown` is the sound top.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Dir {
-    Zero,
-    Up,
-    Down,
-    Unknown,
-}
-
-impl Dir {
-    fn flip(self) -> Dir {
-        match self {
-            Dir::Up => Dir::Down,
-            Dir::Down => Dir::Up,
-            d => d,
-        }
-    }
-
-    /// Lattice join (also the rule for sums: a non-decreasing plus a
-    /// constant is non-decreasing; a non-decreasing plus a non-increasing
-    /// is unknown).
-    fn join(self, o: Dir) -> Dir {
-        match (self, o) {
-            (Dir::Zero, d) | (d, Dir::Zero) => d,
-            (a, b) if a == b => a,
-            _ => Dir::Unknown,
-        }
-    }
-}
-
-/// Sign of an abstract value over its whole interval(s).
-#[derive(Clone, Copy, PartialEq)]
-enum Sign {
-    NonNeg,
-    NonPos,
-    Mixed,
-}
-
-fn sign_of(v: &AbsValue) -> Sign {
-    fn iv_sign(i: &Interval) -> Sign {
-        if i.lo >= 0.0 {
-            Sign::NonNeg
-        } else if i.hi <= 0.0 {
-            Sign::NonPos
-        } else {
-            Sign::Mixed
-        }
-    }
-    match v {
-        AbsValue::Num(i) => iv_sign(i),
-        AbsValue::Energy(e) => {
-            let mut s = iv_sign(&e.joules);
-            for a in e.abstracts.values() {
-                let t = iv_sign(a);
-                if t != s {
-                    s = Sign::Mixed;
-                }
-            }
-            s
-        }
-        _ => Sign::Mixed,
-    }
-}
-
-/// Direction of `k * x` where `k` is constant in the target: the sign of
-/// the constant factor orients the other factor's direction.
-fn scale_dir(k: Sign, dx: Dir) -> Dir {
-    match (k, dx) {
-        (_, Dir::Zero) => Dir::Zero,
-        (Sign::NonNeg, d) => d,
-        (Sign::NonPos, d) => d.flip(),
-        (Sign::Mixed, _) => Dir::Unknown,
-    }
-}
-
-/// Direction of a product from operand signs and directions.
-fn mul_dir(sa: Sign, da: Dir, sb: Sign, db: Dir) -> Dir {
-    match (da, db) {
-        (Dir::Zero, _) => scale_dir(sa, db),
-        (_, Dir::Zero) => scale_dir(sb, da),
-        (Dir::Unknown, _) | (_, Dir::Unknown) => Dir::Unknown,
-        // Both factors move with the target and neither is constant:
-        // provable only when both keep a sign.
-        (a, b) if a == b => match (sa, sb) {
-            // d(ab) = a'b + ab': non-negative factors moving the same way
-            // move the product the same way; non-positive factors invert.
-            (Sign::NonNeg, Sign::NonNeg) => a,
-            (Sign::NonPos, Sign::NonPos) => a.flip(),
-            _ => Dir::Unknown,
-        },
-        _ => Dir::Unknown,
-    }
-}
-
-/// A directional abstract value: the interval abstraction plus the
-/// direction of its dependence on the target.
-#[derive(Clone)]
-struct DVal {
-    val: AbsValue,
-    dir: Dir,
-}
-
-impl DVal {
-    fn of(val: AbsValue) -> DVal {
-        DVal {
-            val,
-            dir: Dir::Zero,
-        }
-    }
-
-    fn join(&self, o: &DVal) -> Result<DVal> {
-        Ok(DVal {
-            val: self.val.join(&o.val)?,
-            dir: self.dir.join(o.dir),
-        })
-    }
-}
-
-struct DirFlow {
-    returned: Option<DVal>,
-    falls_through: bool,
-}
-
-/// Mirrors [`crate::analysis::interval`]'s abstract evaluator on the
-/// paired (interval, direction) domain. Interval transfer defers to the
-/// shared `abs_binary`/`abs_builtin` kernels, so values here are always
-/// identical to the plain analysis; only directions are new.
-struct DirEval<'a> {
-    iface: &'a Interface,
-    ecv_target: Option<&'a str>,
-    depth: usize,
-}
-
-type DLocals = BTreeMap<String, DVal>;
-
-impl<'a> DirEval<'a> {
-    fn call(&mut self, name: &str, args: Vec<DVal>) -> Result<DVal> {
-        if self.depth > 64 {
-            return Err(Error::Analysis {
-                msg: "abstract call depth exceeded (recursive interface?)".into(),
-            });
-        }
-        let f = if let Some(f) = self.iface.fns.get(name) {
-            f
-        } else if self.iface.externs.contains_key(name) {
-            return Err(Error::Link {
-                msg: format!("extern `{name}` must be linked before analysis"),
-            });
-        } else {
-            return Err(Error::Unresolved {
-                kind: NameKind::Function,
-                name: name.to_string(),
-            });
-        };
-        if f.params.len() != args.len() {
-            return Err(Error::Arity {
-                func: name.to_string(),
-                expected: f.params.len(),
-                got: args.len(),
-            });
-        }
-        let mut locals: DLocals = f.params.iter().cloned().zip(args).collect();
-        self.depth += 1;
-        let flow = self.block(&f.body, &mut locals);
-        self.depth -= 1;
-        let flow = flow?;
-        match flow.returned {
-            Some(v) if !flow.falls_through => Ok(v),
-            Some(_) | None => Err(Error::Analysis {
-                msg: format!("function `{name}` may fall off the end under abstract evaluation"),
-            }),
-        }
-    }
-
-    fn block(&mut self, stmts: &[Stmt], locals: &mut DLocals) -> Result<DirFlow> {
-        let mut returned: Option<DVal> = None;
-        for s in stmts {
-            match s {
-                Stmt::Let(name, e) => {
-                    let v = self.expr(e, locals)?;
-                    locals.insert(name.clone(), v);
-                }
-                Stmt::Assign(name, e) => {
-                    if !locals.contains_key(name) {
-                        return Err(Error::Unresolved {
-                            kind: NameKind::Variable,
-                            name: name.clone(),
-                        });
-                    }
-                    let v = self.expr(e, locals)?;
-                    locals.insert(name.clone(), v);
-                }
-                Stmt::If(c, t, els) => {
-                    let cond = self.expr(c, locals)?;
-                    match cond.val.as_bool()? {
-                        AbsBool::True => {
-                            let f = self.block(t, locals)?;
-                            returned = join_opt(returned, f.returned)?;
-                            if !f.falls_through {
-                                return Ok(DirFlow {
-                                    returned,
-                                    falls_through: false,
-                                });
-                            }
-                        }
-                        AbsBool::False => {
-                            let f = self.block(els, locals)?;
-                            returned = join_opt(returned, f.returned)?;
-                            if !f.falls_through {
-                                return Ok(DirFlow {
-                                    returned,
-                                    falls_through: false,
-                                });
-                            }
-                        }
-                        AbsBool::Unknown => {
-                            // When the branch choice itself depends on the
-                            // target, the selected piece changes as the
-                            // target moves: every join is poisoned.
-                            let poison = cond.dir != Dir::Zero;
-                            let mut then_locals = locals.clone();
-                            let ft = self.block(t, &mut then_locals)?;
-                            let mut else_locals = locals.clone();
-                            let fe = self.block(els, &mut else_locals)?;
-                            returned = join_opt(returned, poison_opt(ft.returned, poison))?;
-                            returned = join_opt(returned, poison_opt(fe.returned, poison))?;
-                            match (ft.falls_through, fe.falls_through) {
-                                (false, false) => {
-                                    return Ok(DirFlow {
-                                        returned,
-                                        falls_through: false,
-                                    })
-                                }
-                                (true, false) => *locals = then_locals,
-                                (false, true) => *locals = else_locals,
-                                (true, true) => {
-                                    *locals = join_locals(&then_locals, &else_locals, poison)?;
-                                }
-                            }
-                        }
-                    }
-                }
-                Stmt::For {
-                    var,
-                    from,
-                    to,
-                    body,
-                } => {
-                    let fl = self.for_loop(var, from, to, body, locals)?;
-                    returned = join_opt(returned, fl.returned)?;
-                    if !fl.falls_through {
-                        return Ok(DirFlow {
-                            returned,
-                            falls_through: false,
-                        });
-                    }
-                }
-                Stmt::While { cond, bound, body } => {
-                    let mut exit: Option<DLocals> = None;
-                    let mut terminated = false;
-                    let mut poison = false;
-                    for _ in 0..=*bound {
-                        let c = self.expr(cond, locals)?;
-                        poison |= c.dir != Dir::Zero;
-                        match c.val.as_bool()? {
-                            AbsBool::False => {
-                                exit = Some(match exit {
-                                    None => locals.clone(),
-                                    Some(e) => join_locals(&e, locals, false)?,
-                                });
-                                terminated = true;
-                                break;
-                            }
-                            AbsBool::Unknown => {
-                                exit = Some(match exit {
-                                    None => locals.clone(),
-                                    Some(e) => join_locals(&e, locals, false)?,
-                                });
-                            }
-                            AbsBool::True => {}
-                        }
-                        let f = self.block(body, locals)?;
-                        returned = join_opt(returned, poison_opt(f.returned, poison))?;
-                        if !f.falls_through {
-                            terminated = true;
-                            break;
-                        }
-                    }
-                    if !terminated {
-                        let c = self.expr(cond, locals)?;
-                        poison |= c.dir != Dir::Zero;
-                        match c.val.as_bool()? {
-                            AbsBool::False => {
-                                exit = Some(match exit {
-                                    None => locals.clone(),
-                                    Some(e) => join_locals(&e, locals, false)?,
-                                });
-                            }
-                            _ => {
-                                return Err(Error::Analysis {
-                                    msg: format!(
-                                        "while loop may exceed its declared bound {bound}"
-                                    ),
-                                })
-                            }
-                        }
-                    }
-                    if let Some(mut e) = exit {
-                        if poison {
-                            // The number of iterations taken depends on
-                            // the target: nothing the loop writes keeps a
-                            // provable direction.
-                            for v in e.values_mut() {
-                                v.dir = Dir::Unknown;
-                            }
-                        }
-                        *locals = e;
-                    }
-                }
-                Stmt::Return(e) => {
-                    let v = self.expr(e, locals)?;
-                    returned = join_opt(returned, Some(v))?;
-                    return Ok(DirFlow {
-                        returned,
-                        falls_through: false,
-                    });
-                }
-            }
-        }
-        Ok(DirFlow {
-            returned,
-            falls_through: true,
-        })
-    }
-
-    /// A `for` loop. Target-independent bounds mirror the plain unroll
-    /// with direction tracking. Target-dependent bounds certify only the
-    /// accumulator pattern (`x = x + e` with single-signed `e`): if every
-    /// iteration adds a non-negative amount, more iterations mean more —
-    /// the trip count's direction transfers onto the accumulator.
-    fn for_loop(
-        &mut self,
-        var: &str,
-        from: &Expr,
-        to: &Expr,
-        body: &[Stmt],
-        locals: &mut DLocals,
-    ) -> Result<DirFlow> {
-        let from_v = self.expr(from, locals)?;
-        let to_v = self.expr(to, locals)?;
-        let from_i = from_v.val.as_num()?;
-        let to_i = to_v.val.as_num()?;
-        let trip_dir = to_v.dir.join(from_v.dir.flip());
-        let dependent = from_v.dir != Dir::Zero || to_v.dir != Dir::Zero;
-
-        // The accumulator pattern is decided before the unroll so every
-        // iteration can be checked against it.
-        let accum = if dependent {
-            accumulator_targets(body)
-        } else {
-            None
-        };
-
-        let max_trips = (to_i.hi - from_i.lo).ceil().max(0.0);
-        if max_trips > MAX_ABSTRACT_TRIPS as f64 {
-            return Err(Error::Analysis {
-                msg: format!(
-                    "for-loop may run {max_trips} times; exceeds abstract \
-                     unroll limit {MAX_ABSTRACT_TRIPS}"
-                ),
-            });
-        }
-        let min_trips = (to_i.lo - from_i.hi).ceil().max(0.0) as u64;
-        let max_trips = max_trips as u64;
-        let mut returned: Option<DVal> = None;
-        let mut exit: Option<DLocals> = None;
-        // Join of every per-iteration increment direction, per target.
-        let mut incr_dirs: BTreeMap<String, (Dir, Sign)> = BTreeMap::new();
-        let mut pattern_holds = accum.is_some();
-
-        for k in 0..=max_trips {
-            if k >= min_trips {
-                exit = Some(match exit {
-                    None => locals.clone(),
-                    Some(e) => join_locals(&e, locals, false)?,
-                });
-            }
-            if k == max_trips {
-                break;
-            }
-            let iter_var = Interval::new(
-                from_i.lo + k as f64,
-                (from_i.hi + k as f64).min(to_i.hi - 1.0),
-            );
-            locals.insert(
-                var.to_string(),
-                DVal {
-                    val: AbsValue::Num(iter_var),
-                    // With target-dependent bounds the value of the loop
-                    // variable at "the same" iteration shifts with the
-                    // target only via `from`, which the pattern requires
-                    // to be target-independent — but stay conservative.
-                    dir: if dependent { from_v.dir } else { Dir::Zero },
-                },
-            );
-            if pattern_holds {
-                if let Some(targets) = &accum {
-                    for (name, e) in targets {
-                        let inc = self.expr(e, locals)?;
-                        let s = sign_of(&inc.val);
-                        let entry = incr_dirs.entry(name.clone()).or_insert((Dir::Zero, s));
-                        entry.0 = entry.0.join(inc.dir);
-                        if s != entry.1 {
-                            entry.1 = Sign::Mixed;
-                        }
-                    }
-                }
-            }
-            let f = self.block(body, locals)?;
-            if f.returned.is_some() {
-                // The accumulator argument needs straight-line bodies.
-                pattern_holds = false;
-            }
-            returned = join_opt(returned, poison_opt(f.returned, dependent))?;
-            if !f.falls_through {
-                if k < min_trips {
-                    return Ok(DirFlow {
-                        returned,
-                        falls_through: false,
-                    });
-                }
-                break;
-            }
-        }
-        let mut out = exit.expect("at least one exit state");
-        if dependent {
-            for (name, v) in out.iter_mut() {
-                if pattern_holds {
-                    if let Some((inc_dir, inc_sign)) = incr_dirs.get(name) {
-                        // x_final = x_entry + Σ increments: direction is
-                        // the join of the entry direction, the increment
-                        // directions, and the trip-count direction
-                        // oriented by the increments' sign.
-                        v.dir = v.dir.join(*inc_dir).join(scale_dir(*inc_sign, trip_dir));
-                        continue;
-                    }
-                    if !accum.as_ref().is_some_and(|t| t.contains_key(name)) {
-                        continue; // untouched by the loop body
-                    }
-                }
-                v.dir = Dir::Unknown;
-            }
-        }
-        *locals = out;
-        Ok(DirFlow {
-            returned,
-            falls_through: true,
-        })
-    }
-
-    fn expr(&mut self, e: &Expr, locals: &DLocals) -> Result<DVal> {
-        match e {
-            Expr::Num(n) => Ok(DVal::of(AbsValue::Num(Interval::point(*n)))),
-            Expr::Bool(b) => Ok(DVal::of(AbsValue::Bool(AbsBool::from_bool(*b)))),
-            Expr::Joules(_) | Expr::Unit(..) => {
-                // Reuse the value kernel through a zero-ary fold: both are
-                // leaves, so build directly.
-                let v = match e {
-                    Expr::Joules(j) => AbsValue::Energy(
-                        crate::analysis::interval::AbsEnergy::from_joules(Interval::point(*j)),
-                    ),
-                    Expr::Unit(u, k) => {
-                        AbsValue::Energy(crate::analysis::interval::AbsEnergy::from_unit(
-                            u.clone(),
-                            Interval::point(*k),
-                        ))
-                    }
-                    _ => unreachable!(),
-                };
-                Ok(DVal::of(v))
-            }
-            Expr::Var(name) => locals.get(name).cloned().ok_or_else(|| Error::Unresolved {
-                kind: NameKind::Variable,
-                name: name.clone(),
-            }),
-            Expr::Field(base, name) => {
-                let b = self.expr(base, locals)?;
-                match &b.val {
-                    AbsValue::Record(fields) => fields
-                        .get(name)
-                        .cloned()
-                        .map(|val| DVal { val, dir: b.dir })
-                        .ok_or_else(|| Error::Unresolved {
-                            kind: NameKind::Field,
-                            name: name.clone(),
-                        }),
-                    other => Err(Error::Type {
-                        expected: "record",
-                        got: abs_type_name_of(other),
-                    }),
-                }
-            }
-            Expr::Ecv(name) => {
-                let decl = self.iface.ecvs.get(name).ok_or_else(|| Error::Unresolved {
-                    kind: NameKind::Ecv,
-                    name: name.clone(),
-                })?;
-                let dir = if self.ecv_target == Some(name.as_str()) {
-                    Dir::Up
-                } else {
-                    Dir::Zero
-                };
-                Ok(DVal {
-                    val: ecv_abs_value(&decl.dist),
-                    dir,
-                })
-            }
-            Expr::Unary(op, inner) => {
-                let v = self.expr(inner, locals)?;
-                match op {
-                    UnOp::Neg => {
-                        let val = abs_binary(
-                            BinOp::Mul,
-                            v.val.clone(),
-                            AbsValue::Num(Interval::point(-1.0)),
-                        )?;
-                        Ok(DVal {
-                            val,
-                            dir: v.dir.flip(),
-                        })
-                    }
-                    UnOp::Not => Ok(DVal {
-                        val: AbsValue::Bool(v.val.as_bool()?.not()),
-                        dir: bool_dir(v.dir),
-                    }),
-                }
-            }
-            Expr::Binary(op, a, b) => {
-                let av = self.expr(a, locals)?;
-                let bv = self.expr(b, locals)?;
-                let val = abs_binary(*op, av.val.clone(), bv.val.clone())?;
-                let dir = match op {
-                    BinOp::Add => av.dir.join(bv.dir),
-                    BinOp::Sub => av.dir.join(bv.dir.flip()),
-                    BinOp::Mul => mul_dir(sign_of(&av.val), av.dir, sign_of(&bv.val), bv.dir),
-                    // a / b = a * (1/b); d(1/b) flips b's direction and
-                    // 1/b keeps b's sign (b is bounded away from zero or
-                    // the value kernel has already errored).
-                    BinOp::Div => {
-                        mul_dir(sign_of(&av.val), av.dir, sign_of(&bv.val), bv.dir.flip())
-                    }
-                    _ => bool_dir(av.dir.join(bv.dir)),
-                };
-                Ok(DVal { val, dir })
-            }
-            Expr::Call(name, args) => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.expr(a, locals)?);
-                }
-                if self.iface.fns.contains_key(name) || self.iface.externs.contains_key(name) {
-                    self.call(name, vals)
-                } else if let Some(b) = Builtin::from_name(name) {
-                    self.builtin(b, vals)
-                } else {
-                    Err(Error::Unresolved {
-                        kind: NameKind::Function,
-                        name: name.clone(),
-                    })
-                }
-            }
-            Expr::BuiltinCall(b, args) => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.expr(a, locals)?);
-                }
-                self.builtin(*b, vals)
-            }
-            Expr::IfExpr(c, t, f) => {
-                let cond = self.expr(c, locals)?;
-                match cond.val.as_bool()? {
-                    AbsBool::True => self.expr(t, locals),
-                    AbsBool::False => self.expr(f, locals),
-                    AbsBool::Unknown => {
-                        let tv = self.expr(t, locals)?;
-                        let fv = self.expr(f, locals)?;
-                        let mut j = tv.join(&fv)?;
-                        if cond.dir != Dir::Zero {
-                            j.dir = Dir::Unknown;
-                        }
-                        Ok(j)
-                    }
-                }
-            }
-        }
-    }
-
-    fn builtin(&mut self, b: Builtin, args: Vec<DVal>) -> Result<DVal> {
-        let vals: Vec<AbsValue> = args.iter().map(|a| a.val.clone()).collect();
-        let val = abs_builtin(b, &vals)?;
-        let dir = match b {
-            // Monotone non-decreasing in every argument.
-            Builtin::Min | Builtin::Max => args.iter().fold(Dir::Zero, |d, a| d.join(a.dir)),
-            Builtin::Sqrt
-            | Builtin::Exp
-            | Builtin::Ln
-            | Builtin::Log2
-            | Builtin::Floor
-            | Builtin::Ceil
-            | Builtin::Round
-            | Builtin::Joules => args[0].dir,
-            Builtin::Abs => match sign_of(&args[0].val) {
-                Sign::NonNeg => args[0].dir,
-                Sign::NonPos => args[0].dir.flip(),
-                Sign::Mixed => {
-                    if args[0].dir == Dir::Zero {
-                        Dir::Zero
-                    } else {
-                        Dir::Unknown
-                    }
-                }
-            },
-            Builtin::Pow => {
-                let base = &args[0];
-                let exp = &args[1];
-                match (&exp.val, exp.dir) {
-                    (AbsValue::Num(e), Dir::Zero)
-                        if e.is_point() && sign_of(&base.val) == Sign::NonNeg =>
-                    {
-                        if e.lo >= 0.0 {
-                            base.dir
-                        } else {
-                            base.dir.flip()
-                        }
-                    }
-                    _ => {
-                        if base.dir == Dir::Zero && exp.dir == Dir::Zero {
-                            Dir::Zero
-                        } else {
-                            Dir::Unknown
-                        }
-                    }
-                }
-            }
-            Builtin::Clamp => {
-                if args[1].dir == Dir::Zero && args[2].dir == Dir::Zero {
-                    args[0].dir
-                } else if args.iter().all(|a| a.dir == Dir::Zero) {
-                    Dir::Zero
-                } else {
-                    Dir::Unknown
-                }
-            }
-        };
-        Ok(DVal { val, dir })
-    }
-}
-
-/// Booleans only carry a dependence bit: any target dependence is
-/// `Unknown` (orderings on booleans are not certificate material).
-fn bool_dir(d: Dir) -> Dir {
-    if d == Dir::Zero {
-        Dir::Zero
-    } else {
-        Dir::Unknown
-    }
-}
-
-/// Matches a straight-line accumulator body: every statement has the
-/// shape `x = x + e` or `x = e + x`. Returns the accumulated expression
-/// per target, or `None` when any statement breaks the pattern (two
-/// assignments to one target also break it).
-fn accumulator_targets(body: &[Stmt]) -> Option<BTreeMap<String, &Expr>> {
-    let mut out = BTreeMap::new();
-    for s in body {
-        let Stmt::Assign(name, e) = s else {
-            return None;
-        };
-        let Expr::Binary(BinOp::Add, a, b) = e else {
-            return None;
-        };
-        let inc = match (a.as_ref(), b.as_ref()) {
-            (Expr::Var(v), inc) if v == name => inc,
-            (inc, Expr::Var(v)) if v == name => inc,
-            _ => return None,
-        };
-        if out.insert(name.clone(), inc).is_some() {
-            return None;
-        }
-    }
-    Some(out)
-}
-
-fn join_opt(a: Option<DVal>, b: Option<DVal>) -> Result<Option<DVal>> {
-    Ok(match (a, b) {
-        (None, x) | (x, None) => x,
-        (Some(a), Some(b)) => Some(a.join(&b)?),
-    })
-}
-
-fn poison_opt(v: Option<DVal>, poison: bool) -> Option<DVal> {
-    v.map(|mut v| {
-        if poison {
-            v.dir = Dir::Unknown;
-        }
-        v
-    })
-}
-
-/// Joins two local environments. Variables on only one path are dropped
-/// (a later use fails the analysis, which is sound). `poison` marks the
-/// join as target-dependent: any variable the two paths disagree on gets
-/// an `Unknown` direction.
-fn join_locals(a: &DLocals, b: &DLocals, poison: bool) -> Result<DLocals> {
-    let mut out = BTreeMap::new();
-    for (k, va) in a {
-        if let Some(vb) = b.get(k) {
-            let mut j = va.join(vb)?;
-            if poison && !(va.val == vb.val && va.dir == vb.dir) {
-                j.dir = Dir::Unknown;
-            }
-            out.insert(k.clone(), j);
-        }
-    }
-    Ok(out)
-}
-
-fn abs_type_name_of(v: &AbsValue) -> String {
-    match v {
-        AbsValue::Num(_) => "number",
-        AbsValue::Bool(_) => "boolean",
-        AbsValue::Energy(_) => "energy",
-        AbsValue::Record(_) => "record",
-    }
-    .to_string()
+    Ok(FnCertificate { bound, monotone })
 }
 
 #[cfg(test)]
@@ -1099,6 +320,29 @@ mod tests {
         // Actually non-increasing, but the piecewise analysis cannot
         // prove it; `Unknown` is the sound verdict.
         assert_eq!(cert.fns["step"].monotone["n"], Monotonicity::Unknown);
+    }
+
+    #[test]
+    fn accumulator_increments_are_signed_after_earlier_updates() {
+        // `b`'s increment is `a` after this trip's update: 0 mJ, then
+        // -1 mJ. Signed on the pre-body state (1 mJ, then 0 mJ) it looked
+        // non-negative, yet f(n = 1) = 10 mJ and f(n = 2) = 9 mJ.
+        let mut i = parse(
+            "interface acc { fn f(n) { let a = 1 mJ; let b = 10 mJ; \
+             for i in 0..n { a = a + (0 - 1) * 1 mJ; b = b + a; } return b; } }",
+        )
+        .unwrap();
+        i.set_input_spec("f", InputSpec::new().range("n", 0.0, 2.0));
+        let env = i.ecv_env();
+        let cfg = EvalConfig::default();
+        let at = |n: f64| {
+            evaluate_energy(&i, "f", &[Value::Num(n)], &env, 0, &cfg)
+                .unwrap()
+                .as_joules()
+        };
+        assert!(at(2.0) < at(1.0), "the energy falls from n = 1 to n = 2");
+        let cert = certify(&i, &Calibration::empty()).unwrap();
+        assert_eq!(cert.fns["f"].monotone["n"], Monotonicity::Unknown);
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! Analyses over energy interfaces: the toolchain of §4.
 //!
-//! - [`interval`]: sound interval abstract interpretation (the engine).
+//! - [`interval`]: sound interval abstract interpretation — the one
+//!   abstract interpreter, whose walk also tracks each value's direction
+//!   in the inputs being certified.
 //! - [`worst_case`]: upper/lower energy bounds over declared input spaces.
 //! - [`paths`]: per-path enumeration over ECV outcomes (§4.2).
 //! - [`constant_energy`]: side-channel freedom checking (§4.1).
 //! - [`compat`]: envelope compatibility between spec and implementation
 //!   interfaces (§4.1).
 //! - [`cert`]: sound per-function energy certificates — guaranteed
-//!   min/max bounds plus monotonicity verdicts (`eic certify`).
+//!   min/max bounds plus monotonicity verdicts (`eic certify`), both read
+//!   off one [`interval`] walk.
 
 pub mod cert;
 pub mod compat;

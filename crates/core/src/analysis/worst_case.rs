@@ -53,7 +53,11 @@ pub fn worst_case_with_args(
     args: &[AbsValue],
     cal: &Calibration,
 ) -> Result<EnergyBound> {
-    let out = abstract_eval(iface, func, args)?;
+    energy_bound(&abstract_eval(iface, func, args)?, cal)
+}
+
+/// The energy bound of an abstract result under `cal`.
+pub(crate) fn energy_bound(out: &AbsValue, cal: &Calibration) -> Result<EnergyBound> {
     let e = out.as_energy()?;
     Ok(EnergyBound {
         lower: e.lower_bound(cal)?,
