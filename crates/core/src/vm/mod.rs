@@ -41,7 +41,7 @@ pub use chunk::{Chunk, Instr, Program};
 pub use disasm::disassemble;
 pub use exec::Vm;
 pub use lower::{compile, UNROLL_BODY_BUDGET, UNROLL_MAX_TRIPS};
-pub use verify::{render_errors, verify, verify_against, VerifyError};
+pub use verify::{render_errors, verify, VerifyError};
 
 /// Ill-formed bytecode fixtures for verifier testing. Programs cannot be
 /// constructed outside this crate ([`Program`] is non-exhaustive), so the
@@ -756,26 +756,5 @@ mod tests {
         let iface = parse(KITCHEN_SINK).unwrap();
         let program = compile(&iface).unwrap();
         verify(&program).expect("compiled output verifies");
-        verify_against(&iface, &program).expect("interval agreement holds");
-    }
-
-    #[test]
-    fn verify_against_agrees_on_interfaces_with_specs() {
-        use crate::interface::InputSpec;
-        let mut iface = parse(
-            r#"interface webby {
-                unit req;
-                ecv load: uniform(0.1, 0.9);
-                fn cost(n) {
-                    let e = 0 J;
-                    for i in 0..n { e = e + 2 mJ; }
-                    return e * ecv(load) + n * 1 req;
-                }
-            }"#,
-        )
-        .unwrap();
-        iface.set_input_spec("cost", InputSpec::new().range("n", 1.0, 8.0));
-        let program = compile(&iface).unwrap();
-        verify_against(&iface, &program).expect("bytecode and AST analyses agree");
     }
 }

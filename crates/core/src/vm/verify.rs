@@ -12,46 +12,34 @@
 //! time with a stable diagnostic rather than surfacing as a panic or a
 //! silent divergence deep inside a Monte-Carlo run.
 //!
-//! Three layers, in increasing cost:
+//! Two layers, both run by [`verify`] on every compiled program:
 //!
-//! 1. **Structural** ([`verify`], always on): every register, constant,
-//!    trap, symbol, ECV, counter, jump target, and callee index is in
-//!    bounds; fuel and code streams have equal length; call arities match
-//!    their callee chunks; `And`/`Or` never appear as `Bin` ops (the
-//!    lowering turns them into jumps); no instruction can fall off the
-//!    end of the stream.
-//! 2. **Dataflow** ([`verify`], always on): a forward must-defined
-//!    analysis over the control-flow graph proving that (a) every
-//!    argument slot of a `Call`/`Builtin`/`CallBuiltin` window is
-//!    definitely written on every path (the executor `expect`s this), and
-//!    (b) no *temp* register is read while possibly undefined — a read of
-//!    an unwritten temp would report `Unresolved` with the placeholder
-//!    name `?`, which the tree-walk oracle can never produce. Reads of
+//! 1. **Structural**: every register, constant, trap, symbol, ECV,
+//!    counter, jump target, and callee index is in bounds; fuel and code
+//!    streams have equal length; call arities match their callee chunks;
+//!    `And`/`Or` never appear as `Bin` ops (the lowering turns them into
+//!    jumps); no instruction can fall off the end of the stream.
+//! 2. **Dataflow**: a forward must-defined analysis over the control-flow
+//!    graph, one register bitset per pc, proving that (a) every argument
+//!    slot of a `Call`/`Builtin`/`CallBuiltin` window is definitely
+//!    written on every path (the executor `expect`s this), and (b) no
+//!    *temp* register is read while possibly undefined — a read of an
+//!    unwritten temp would report `Unresolved` with the placeholder name
+//!    `?`, which the tree-walk oracle can never produce. Reads of
 //!    possibly-unwritten *named* registers are legitimate: that is
 //!    exactly the lazy `Unresolved { name }` semantics of the language.
 //!    Loop-register discipline is checked here too: a register used as
 //!    the induction slot of `ForTest`/`ForStep` may only be written by
 //!    `ForInit`/`ForStep`.
-//! 3. **Interval agreement** ([`verify_against`], on demand): an abstract
-//!    interpreter over the bytecode in the interval domain of
-//!    [`crate::analysis::interval`], evaluated on the same abstract
-//!    inputs as the AST-level [`abstract_eval`] for every function with a
-//!    declared [`InputSpec`](crate::interface::InputSpec). Both analyses
-//!    soundly over-approximate the same concrete semantics, so their
-//!    result ranges must overlap; disjoint ranges prove a lowering (or
-//!    analysis) bug. This also exercises type and unit consistency — the
-//!    bytecode-level domain tracks `Num`/`Bool`/`Energy`/`Record` and the
-//!    per-unit components of abstract energies.
+//!
+//! Whether the bytecode computes what the source says is not a static
+//! property checked here: the differential suites hold the VM
+//! bit-identical to the tree-walk oracle on generated and adversarial
+//! programs.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::analysis::interval::{
-    abstract_eval, abstract_inputs, ecv_abs_value, AbsBool, AbsValue, Interval,
-};
-use crate::ast::{BinOp, Builtin};
-use crate::interface::Interface;
-use crate::value::Value;
+use crate::ast::BinOp;
 
 use super::chunk::{Chunk, Instr, Program};
 
@@ -83,60 +71,6 @@ pub fn verify(program: &Program) -> Result<(), Vec<VerifyError>> {
     let mut errs = Vec::new();
     for chunk in &program.chunks {
         verify_chunk(program, chunk, &mut errs);
-    }
-    if errs.is_empty() {
-        Ok(())
-    } else {
-        Err(errs)
-    }
-}
-
-/// Verifies `program` and additionally checks interval agreement with the
-/// AST-level abstract interpreter for every function of `iface` that has a
-/// declared input spec. `program` must be the compilation of `iface`.
-pub fn verify_against(iface: &Interface, program: &Program) -> Result<(), Vec<VerifyError>> {
-    let mut errs = match verify(program) {
-        Ok(()) => Vec::new(),
-        Err(e) => e,
-    };
-
-    // Resolve every ECV slot to its distribution-derived abstract value.
-    let ecv_cells: Vec<Cell> = program
-        .ecv_names
-        .iter()
-        .map(|name| match iface.ecvs.get(name) {
-            Some(decl) => Cell::Val(ecv_abs_value(&decl.dist)),
-            None => Cell::Top,
-        })
-        .collect();
-
-    for (fname, spec) in iface.input_specs.iter() {
-        let Some(&fid) = program.fn_ids.get(fname) else {
-            continue;
-        };
-        // Either side declining to analyze (unsupported shape, possible
-        // runtime error, unlinked extern) is not a lowering bug; the
-        // check fires only when both sides produce a range.
-        let Ok(args) = abstract_inputs(iface, fname, spec) else {
-            continue;
-        };
-        let Ok(ast) = abstract_eval(iface, fname, &args) else {
-            continue;
-        };
-        let cells: Vec<Cell> = args.into_iter().map(Cell::Val).collect();
-        let Some(machine) = absint_chunk(program, fid, cells, &ecv_cells, 0) else {
-            continue;
-        };
-        if disjoint(&ast, &machine) {
-            errs.push(VerifyError {
-                chunk: fname.clone(),
-                pc: None,
-                msg: format!(
-                    "interval disagreement with the AST analysis: \
-                     ast {ast:?} vs bytecode {machine:?}"
-                ),
-            });
-        }
     }
     if errs.is_empty() {
         Ok(())
@@ -515,420 +449,9 @@ fn must_defined(chunk: &Chunk) -> Vec<Option<Defs>> {
     ins
 }
 
-// ---------------------------------------------------------------------------
-// Interval abstract interpretation over bytecode
-// ---------------------------------------------------------------------------
-
-/// Number of state updates a pc may receive before its cells widen to
-/// [`Cell::Top`] (guarantees termination on loops).
-const WIDEN_AFTER: u32 = 64;
-
-/// Maximum abstract call depth (mirrors the AST analyzer's limit).
-const MAX_ABS_DEPTH: usize = 16;
-
-/// One abstract register cell.
-#[derive(Debug, Clone, PartialEq)]
-enum Cell {
-    /// Not written on any path seen so far.
-    Bot,
-    /// Written, with this abstract value.
-    Val(AbsValue),
-    /// Written, value unknown (or type-confused across paths).
-    Top,
-}
-
-impl Cell {
-    fn join(&self, o: &Cell) -> Cell {
-        match (self, o) {
-            (Cell::Bot, x) | (x, Cell::Bot) => x.clone(),
-            (Cell::Top, _) | (_, Cell::Top) => Cell::Top,
-            (Cell::Val(a), Cell::Val(b)) => match a.join(b) {
-                Ok(v) => Cell::Val(v),
-                Err(_) => Cell::Top,
-            },
-        }
-    }
-    fn num(&self) -> Option<Interval> {
-        match self {
-            Cell::Val(AbsValue::Num(i)) => Some(*i),
-            _ => None,
-        }
-    }
-}
-
-/// Abstractly executes chunk `fid` on `args`, returning the join of every
-/// reachable `Return` value, or `None` when the analysis loses precision
-/// (a `Top` return, excessive recursion, or no reachable return at all).
-fn absint_chunk(
-    program: &Program,
-    fid: u32,
-    args: Vec<Cell>,
-    ecvs: &[Cell],
-    depth: usize,
-) -> Option<AbsValue> {
-    if depth > MAX_ABS_DEPTH {
-        return None;
-    }
-    let chunk = &program.chunks[fid as usize];
-    let len = chunk.code.len();
-    let mut state = args;
-    state.resize(chunk.n_regs as usize, Cell::Bot);
-    let mut ins: Vec<Option<Vec<Cell>>> = vec![None; len];
-    let mut visits: Vec<u32> = vec![0; len];
-    ins[0] = Some(state);
-    let mut work = vec![0usize];
-    let mut ret: Option<AbsValue> = None;
-    let mut ret_top = false;
-
-    while let Some(pc) = work.pop() {
-        let state = ins[pc].clone().expect("worklist entries are reachable");
-        let instr = &chunk.code[pc];
-        if let Instr::Return { src } = instr {
-            match &state[*src as usize] {
-                Cell::Bot => {} // runtime error, not a successful return
-                Cell::Top => ret_top = true,
-                Cell::Val(v) => {
-                    ret = Some(match ret {
-                        None => v.clone(),
-                        Some(cur) => match cur.join(v) {
-                            Ok(j) => j,
-                            Err(_) => {
-                                ret_top = true;
-                                cur
-                            }
-                        },
-                    });
-                }
-            }
-            continue;
-        }
-        let out = transfer(program, chunk, instr, state, ecvs, depth);
-        for succ in successors(instr, pc) {
-            let mut s = out.clone();
-            if let Instr::ForTest { i, var, .. } = instr {
-                if succ == pc + 1 {
-                    // The fall-through edge binds the loop variable.
-                    s[*var as usize] = s[*i as usize].clone();
-                }
-            }
-            let widen = visits[succ] >= WIDEN_AFTER;
-            match &mut ins[succ] {
-                None => {
-                    visits[succ] += 1;
-                    ins[succ] = Some(s);
-                    work.push(succ);
-                }
-                Some(cur) => {
-                    let mut changed = false;
-                    for (c, n) in cur.iter_mut().zip(&s) {
-                        let j = if widen && *c != *n {
-                            Cell::Top
-                        } else {
-                            c.join(n)
-                        };
-                        if j != *c {
-                            *c = j;
-                            changed = true;
-                        }
-                    }
-                    if changed {
-                        visits[succ] += 1;
-                        work.push(succ);
-                    }
-                }
-            }
-        }
-    }
-    if ret_top {
-        None
-    } else {
-        ret
-    }
-}
-
-/// Abstract transfer function of one instruction.
-fn transfer(
-    program: &Program,
-    chunk: &Chunk,
-    instr: &Instr,
-    mut state: Vec<Cell>,
-    ecvs: &[Cell],
-    depth: usize,
-) -> Vec<Cell> {
-    let wr = |state: &mut Vec<Cell>, r: u32, c: Cell| state[r as usize] = c;
-    match instr {
-        Instr::Const { dst, k } => {
-            let c = abs_of_value(&chunk.consts[*k as usize]);
-            wr(&mut state, *dst, Cell::Val(c));
-        }
-        Instr::Copy { dst, src } => {
-            let c = match &state[*src as usize] {
-                Cell::Bot => Cell::Top, // error path; stay conservative
-                c => c.clone(),
-            };
-            wr(&mut state, *dst, c);
-        }
-        Instr::Ecv { dst, e } => {
-            let c = ecvs.get(*e as usize).cloned().unwrap_or(Cell::Top);
-            wr(&mut state, *dst, c);
-        }
-        Instr::Field { dst, src, sym } => {
-            let name = &program.symbols[*sym as usize];
-            let c = match &state[*src as usize] {
-                Cell::Val(AbsValue::Record(fields)) => match fields.get(name) {
-                    Some(v) => Cell::Val(v.clone()),
-                    None => Cell::Top,
-                },
-                _ => Cell::Top,
-            };
-            wr(&mut state, *dst, c);
-        }
-        Instr::Neg { dst, src } => {
-            let c = match &state[*src as usize] {
-                Cell::Val(AbsValue::Num(i)) => {
-                    Cell::Val(AbsValue::Num(Interval::new(-i.hi, -i.lo)))
-                }
-                Cell::Val(AbsValue::Energy(e)) => {
-                    Cell::Val(AbsValue::Energy(e.scale(&Interval::point(-1.0))))
-                }
-                _ => Cell::Top,
-            };
-            wr(&mut state, *dst, c);
-        }
-        Instr::Not { dst, src } => {
-            let c = match &state[*src as usize] {
-                Cell::Val(AbsValue::Bool(b)) => Cell::Val(AbsValue::Bool(b.not())),
-                _ => Cell::Top,
-            };
-            wr(&mut state, *dst, c);
-        }
-        Instr::Bin { op, dst, a, b } => {
-            let c = abs_binary(*op, &state[*a as usize], &state[*b as usize]);
-            wr(&mut state, *dst, c);
-        }
-        Instr::AsBool { dst, src } => {
-            let c = match &state[*src as usize] {
-                Cell::Val(AbsValue::Bool(b)) => Cell::Val(AbsValue::Bool(*b)),
-                _ => Cell::Top,
-            };
-            wr(&mut state, *dst, c);
-        }
-        Instr::Builtin { b, dst, base, n } | Instr::CallBuiltin { b, dst, base, n } => {
-            let args: Vec<&Cell> = (*base..*base + *n).map(|r| &state[r as usize]).collect();
-            let c = abs_builtin(*b, &args);
-            wr(&mut state, *dst, c);
-        }
-        Instr::Call { f, dst, base, n } => {
-            let args: Vec<Cell> = (*base..*base + *n)
-                .map(|r| match &state[r as usize] {
-                    Cell::Bot => Cell::Top,
-                    c => c.clone(),
-                })
-                .collect();
-            let c = match absint_chunk(program, *f, args, ecvs, depth + 1) {
-                Some(v) => Cell::Val(v),
-                None => Cell::Top,
-            };
-            wr(&mut state, *dst, c);
-        }
-        Instr::ForInit { i, from, .. } => {
-            let c = match state[*from as usize].num() {
-                Some(iv) => Cell::Val(AbsValue::Num(Interval::new(iv.lo.floor(), iv.hi.floor()))),
-                None => Cell::Top,
-            };
-            wr(&mut state, *i, c);
-        }
-        Instr::ForStep { i, .. } => {
-            let c = match state[*i as usize].num() {
-                Some(iv) => Cell::Val(AbsValue::Num(iv.add(&Interval::point(1.0)))),
-                None => Cell::Top,
-            };
-            wr(&mut state, *i, c);
-        }
-        // `ForTest` writes `var` on the fall-through edge only; the caller
-        // patches that edge. Checks, guards, jumps, nops: no register
-        // effect.
-        _ => {}
-    }
-    state
-}
-
-/// Lifts a constant-pool value into the abstract domain.
-fn abs_of_value(v: &Value) -> AbsValue {
-    match v {
-        Value::Num(n) => AbsValue::Num(Interval::point(*n)),
-        Value::Bool(b) => AbsValue::Bool(AbsBool::from_bool(*b)),
-        Value::Energy(e) => {
-            let mut abs =
-                crate::analysis::interval::AbsEnergy::from_joules(Interval::point(e.joules));
-            for (u, a) in &e.abstracts {
-                abs.abstracts.insert(u.clone(), Interval::point(*a));
-            }
-            AbsValue::Energy(abs)
-        }
-        Value::Record(r) => AbsValue::Record(
-            r.iter()
-                .map(|(k, f)| (k.clone(), abs_of_value(f)))
-                .collect(),
-        ),
-    }
-}
-
-/// Abstract binary operation; `Top` whenever the result could error or the
-/// shape is not tracked.
-fn abs_binary(op: BinOp, a: &Cell, b: &Cell) -> Cell {
-    use AbsValue as A;
-    let (Cell::Val(va), Cell::Val(vb)) = (a, b) else {
-        return Cell::Top;
-    };
-    match (op, va, vb) {
-        (BinOp::Add, A::Num(x), A::Num(y)) => Cell::Val(A::Num(x.add(y))),
-        (BinOp::Sub, A::Num(x), A::Num(y)) => Cell::Val(A::Num(x.sub(y))),
-        (BinOp::Mul, A::Num(x), A::Num(y)) => Cell::Val(A::Num(x.mul(y))),
-        (BinOp::Div, A::Num(x), A::Num(y)) => match x.div(y) {
-            Ok(i) => Cell::Val(A::Num(i)),
-            Err(_) => Cell::Top,
-        },
-        (BinOp::Add, A::Energy(x), A::Energy(y)) => Cell::Val(A::Energy(x.add(y))),
-        (BinOp::Sub, A::Energy(x), A::Energy(y)) => Cell::Val(A::Energy(x.sub(y))),
-        (BinOp::Mul, A::Energy(x), A::Num(y)) => Cell::Val(A::Energy(x.scale(y))),
-        (BinOp::Mul, A::Num(x), A::Energy(y)) => Cell::Val(A::Energy(y.scale(x))),
-        (BinOp::Div, A::Energy(x), A::Num(y)) => match x.div_num(y) {
-            Ok(e) => Cell::Val(A::Energy(e)),
-            Err(_) => Cell::Top,
-        },
-        (BinOp::Lt, A::Num(x), A::Num(y)) => Cell::Val(A::Bool(cmp_lt(x, y))),
-        (BinOp::Le, A::Num(x), A::Num(y)) => Cell::Val(A::Bool(cmp_le(x, y))),
-        (BinOp::Gt, A::Num(x), A::Num(y)) => Cell::Val(A::Bool(cmp_lt(y, x))),
-        (BinOp::Ge, A::Num(x), A::Num(y)) => Cell::Val(A::Bool(cmp_le(y, x))),
-        (BinOp::Eq, A::Num(x), A::Num(y)) => {
-            Cell::Val(A::Bool(if x.is_point() && y.is_point() && x.lo == y.lo {
-                AbsBool::True
-            } else if x.hi < y.lo || y.hi < x.lo {
-                AbsBool::False
-            } else {
-                AbsBool::Unknown
-            }))
-        }
-        _ => Cell::Top,
-    }
-}
-
-fn cmp_lt(x: &Interval, y: &Interval) -> AbsBool {
-    if x.hi < y.lo {
-        AbsBool::True
-    } else if x.lo >= y.hi {
-        AbsBool::False
-    } else {
-        AbsBool::Unknown
-    }
-}
-
-fn cmp_le(x: &Interval, y: &Interval) -> AbsBool {
-    if x.hi <= y.lo {
-        AbsBool::True
-    } else if x.lo > y.hi {
-        AbsBool::False
-    } else {
-        AbsBool::Unknown
-    }
-}
-
-/// Abstract pure builtins; `Top` for anything that could error or that the
-/// domain does not model.
-fn abs_builtin(b: Builtin, args: &[&Cell]) -> Cell {
-    let num = |i: usize| args.get(i).and_then(|c| c.num());
-    let val = |i: Interval| Cell::Val(AbsValue::Num(i));
-    match b {
-        Builtin::Min => match (num(0), num(1)) {
-            (Some(x), Some(y)) => val(Interval::new(x.lo.min(y.lo), x.hi.min(y.hi))),
-            _ => Cell::Top,
-        },
-        Builtin::Max => match (num(0), num(1)) {
-            (Some(x), Some(y)) => val(Interval::new(x.lo.max(y.lo), x.hi.max(y.hi))),
-            _ => Cell::Top,
-        },
-        Builtin::Abs => match num(0) {
-            Some(x) => {
-                let lo = if x.contains(0.0) {
-                    0.0
-                } else {
-                    x.lo.abs().min(x.hi.abs())
-                };
-                val(Interval::new(lo, x.lo.abs().max(x.hi.abs())))
-            }
-            None => Cell::Top,
-        },
-        Builtin::Sqrt => match num(0) {
-            Some(x) if x.lo >= 0.0 => val(x.map_monotone(f64::sqrt)),
-            _ => Cell::Top,
-        },
-        Builtin::Floor => num(0).map_or(Cell::Top, |x| val(x.map_monotone(f64::floor))),
-        Builtin::Ceil => num(0).map_or(Cell::Top, |x| val(x.map_monotone(f64::ceil))),
-        Builtin::Round => num(0).map_or(Cell::Top, |x| val(x.map_monotone(f64::round))),
-        Builtin::Exp => num(0).map_or(Cell::Top, |x| val(x.map_monotone(f64::exp))),
-        Builtin::Ln => match num(0) {
-            Some(x) if x.lo > 0.0 => val(x.map_monotone(f64::ln)),
-            _ => Cell::Top,
-        },
-        Builtin::Log2 => match num(0) {
-            Some(x) if x.lo > 0.0 => val(x.map_monotone(f64::log2)),
-            _ => Cell::Top,
-        },
-        Builtin::Pow => match (num(0), num(1)) {
-            (Some(x), Some(e)) if e.is_point() && e.lo >= 0.0 && e.lo.fract() == 0.0 => {
-                match u32::try_from(e.lo as u64) {
-                    Ok(k) if f64::from(k) == e.lo => val(x.powi(k)),
-                    _ => Cell::Top,
-                }
-            }
-            _ => Cell::Top,
-        },
-        _ => Cell::Top,
-    }
-}
-
-/// True when two abstract results provably share no concrete value —
-/// which, for two sound analyses of the same function, proves a bug.
-fn disjoint(a: &AbsValue, b: &AbsValue) -> bool {
-    match (a, b) {
-        (AbsValue::Num(x), AbsValue::Num(y)) => x.hi < y.lo || y.hi < x.lo,
-        (AbsValue::Bool(x), AbsValue::Bool(y)) => {
-            matches!(
-                (x, y),
-                (AbsBool::True, AbsBool::False) | (AbsBool::False, AbsBool::True)
-            )
-        }
-        (AbsValue::Energy(x), AbsValue::Energy(y)) => {
-            let zero = Interval::point(0.0);
-            if x.joules.hi < y.joules.lo || y.joules.hi < x.joules.lo {
-                return true;
-            }
-            for u in x.abstracts.keys().chain(y.abstracts.keys()) {
-                let xi = x.abstracts.get(u).unwrap_or(&zero);
-                let yi = y.abstracts.get(u).unwrap_or(&zero);
-                if xi.hi < yi.lo || yi.hi < xi.lo {
-                    return true;
-                }
-            }
-            false
-        }
-        (AbsValue::Record(x), AbsValue::Record(y)) => x
-            .iter()
-            .any(|(k, vx)| y.get(k).is_some_and(|vy| disjoint(vx, vy))),
-        // Differing shapes cannot describe the same concrete value.
-        _ => true,
-    }
-}
-
 /// Renders a failure list as stable, sorted text (one line per failure).
 pub fn render_errors(errs: &[VerifyError]) -> String {
     let mut lines: Vec<String> = errs.iter().map(|e| e.to_string()).collect();
     lines.sort();
     lines.join("\n")
 }
-
-// The ecv-name map used by `verify_against` needs `BTreeMap` in scope for
-// rustdoc links only; keep the import used.
-#[allow(unused)]
-type _EcvMap = BTreeMap<String, ()>;

@@ -25,7 +25,6 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use ei_core::ecv::{EcvEnv, EcvValue};
-use ei_core::interface::InputSpec;
 use ei_core::interp::{
     eval_with_assignment, evaluate_batch, monte_carlo, monte_carlo_par, EvalConfig, ExecMode,
     MC_CHUNK,
@@ -214,26 +213,6 @@ proptest! {
                 format!("{oracle:?}"),
                 format!("{machine:?}"),
                 "vm diverges at x = {:?}", x
-            );
-        }
-    }
-
-    /// The lowering's static contract: every generated program's bytecode
-    /// verifies against its source interface, interval agreement included
-    /// (`compile` itself runs only the structural and dataflow layers, and
-    /// agreement fires only for functions with a declared input spec).
-    #[test]
-    fn compiled_programs_verify(mut iface in arb_vm_interface()) {
-        for (func, param) in [("entry", "z"), ("work", "x"), ("top", "y")] {
-            iface.set_input_spec(func, InputSpec::new().range(param, 0.0, 2000.0));
-        }
-        let program = ei_core::vm::compile(&iface).expect("generated interface compiles");
-        if let Err(errs) = ei_core::vm::verify_against(&iface, &program) {
-            prop_assert!(
-                false,
-                "compiled program fails verification:\n{}\n{}",
-                ei_core::vm::render_errors(&errs),
-                ei_core::vm::disassemble(&program),
             );
         }
     }
