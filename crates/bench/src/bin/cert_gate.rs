@@ -12,7 +12,11 @@
 //! 2. the certificates are *sound in practice*: a deterministic grid of
 //!    concrete executions sampled from each declared domain (corners,
 //!    midpoints, per-axis extremes, three ECV seeds each) always lands
-//!    inside the certified bound;
+//!    inside the certified bound, and every `constant`, `non_decreasing`
+//!    or `non_increasing` verdict holds on each ordered pair of those
+//!    executions that differs only along the verdict's axis (for an ECV
+//!    verdict, the seed's draw with that ECV pinned at both ends and the
+//!    midpoint of its range);
 //! 3. the bytecode verifier underneath the certifier still rejects every
 //!    entry of the seeded bad-chunk corpus with its recorded diagnostic,
 //!    byte for byte.
@@ -20,11 +24,14 @@
 //! Writes the per-target report as JSON to `cert_report.json` (override
 //! with `CERT_REPORT_OUT`; set it empty to skip) so CI can archive it.
 
+use std::collections::BTreeMap;
+
 use ei_bench::fig1::deployed_interfaces;
 use ei_bench::table1::fitted_gpt2_interface;
-use ei_core::analysis::cert::{certify, Certificate};
+use ei_core::analysis::cert::{certify, Certificate, Monotonicity};
+use ei_core::analysis::interval::{ecv_abs_value, AbsValue};
 use ei_core::compose::link;
-use ei_core::ecv::EcvEnv;
+use ei_core::ecv::{EcvEnv, EcvValue};
 use ei_core::interface::{InputSpec, Interface};
 use ei_core::interp::{evaluate_energy, EvalConfig};
 use ei_core::units::{Calibration, Energy};
@@ -35,6 +42,8 @@ use ei_hw::interfaces::{gpu_interface, gpu_interface_dvfs};
 use ei_llm::batch_interface::gpt2_batch_interface;
 use ei_llm::interface::gpt2_interface;
 use ei_llm::model::gpt2_small;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::Serialize;
 
 /// One gate target: a closed interface plus its deployed calibration.
@@ -247,24 +256,28 @@ struct TargetReport {
 }
 
 /// Certifies one target and spot-checks the certificate against concrete
-/// executions. Returns the report row; failures are recorded on it.
-fn run_target(t: &Target) -> TargetReport {
+/// executions. Returns the report row, with failures recorded on it, and
+/// the number of execution pairs its verdicts were checked on.
+fn run_target(t: &Target) -> (TargetReport, u64) {
     let mut failures = Vec::new();
     let cert: Certificate = match certify(&t.iface, &t.cal) {
         Ok(c) => c,
         Err(e) => {
-            return TargetReport {
+            let report = TargetReport {
                 target: t.name.to_string(),
                 interface: t.iface.name.clone(),
                 fingerprint: String::new(),
                 fns: Vec::new(),
                 failures: vec![format!("certification failed: {e}")],
-            }
+            };
+            return (report, 0);
         }
     };
     if cert.fns.is_empty() {
         failures.push("certificate is empty: no function has a declared domain".into());
     }
+    // Runs the pinned-ECV executions of the verdict checks.
+    let program = vm::compile(&t.iface).expect("bundled interfaces compile");
     let cfg = EvalConfig {
         fuel: 500_000_000,
         calibration: t.cal.clone(),
@@ -272,6 +285,7 @@ fn run_target(t: &Target) -> TargetReport {
     };
     let env = EcvEnv::from_decls(&t.iface.ecvs);
     let mut fns = Vec::new();
+    let mut verdict_pairs = 0u64;
     for (func, fc) in &cert.fns {
         let lo = fc.bound.lower.as_joules();
         let hi = fc.bound.upper.as_joules();
@@ -283,12 +297,17 @@ fn run_target(t: &Target) -> TargetReport {
         let mut samples = 0u64;
         let spec = t.iface.input_specs.get(func).cloned().unwrap_or_default();
         if let Some(axes) = axes_for(&t.iface, func, &spec) {
-            for point in probe_grid(&axes) {
-                let args = args_at(&t.iface, func, &axes, &point);
-                for seed in SEEDS {
+            let grid = probe_grid(&axes);
+            // Joules per grid point and seed, `None` where evaluation failed.
+            let mut measured = Vec::with_capacity(grid.len());
+            for point in &grid {
+                let args = args_at(&t.iface, func, &axes, point);
+                let mut row = [None; SEEDS.len()];
+                for (slot, seed) in row.iter_mut().zip(SEEDS) {
                     match evaluate_energy(&t.iface, func, &args, &env, seed, &cfg) {
                         Ok(e) => {
                             samples += 1;
+                            *slot = Some(e.as_joules());
                             if !fc.bound.admits(e) {
                                 failures.push(format!(
                                     "{func}: measured {} J at seed {seed} escapes certified [{lo}, {hi}] J",
@@ -299,6 +318,83 @@ fn run_target(t: &Target) -> TargetReport {
                         Err(e) => failures.push(format!(
                             "{func}: evaluation failed inside the declared domain: {e}"
                         )),
+                    }
+                }
+                measured.push(row);
+            }
+            // Each verdict's runs: executions in increasing order along its
+            // axis, every other input held. A parameter's runs are lines of
+            // the grid at each seed; an ECV's are each seed's draw at each
+            // grid point, the ECV pinned at the ends and midpoint of its range.
+            let mut machine = vm::Vm::new(&program);
+            let mut runs_along = |key: &str| -> Vec<(String, Vec<Option<f64>>)> {
+                let mut runs = Vec::new();
+                if let Some(name) = key.strip_prefix("ecv(").and_then(|k| k.strip_suffix(')')) {
+                    let AbsValue::Num(r) = ecv_abs_value(&t.iface.ecvs[name].dist) else {
+                        unreachable!("verdicts are on numeric ECVs");
+                    };
+                    for point in &grid {
+                        let args = args_at(&t.iface, func, &axes, point);
+                        for seed in SEEDS {
+                            let mut draw = env.sample_assignment(&mut StdRng::seed_from_u64(seed));
+                            let run = [r.lo, (r.lo + r.hi) / 2.0, r.hi].map(|v| {
+                                draw.insert(name.to_string(), EcvValue::Num(v));
+                                let out = machine.run(func, &args, &draw, &cfg);
+                                out.and_then(|v| v.into_energy()?.calibrate(&cfg.calibration))
+                                    .ok()
+                                    .map(|e| e.as_joules())
+                            });
+                            runs.push((format!("{args:?} at seed {seed}"), run.to_vec()));
+                        }
+                    }
+                    return runs;
+                }
+                let params = &t.iface.fns[func.as_str()].params;
+                let axis = axes
+                    .iter()
+                    .position(|a| a.field.is_none() && params[a.param] == key)
+                    .expect("a parameter verdict has a sampling axis");
+                // Grid points by their coordinates off the axis.
+                let mut lines: BTreeMap<Vec<usize>, Vec<usize>> = BTreeMap::new();
+                for (i, p) in grid.iter().enumerate() {
+                    let mut off = p.clone();
+                    off.remove(axis);
+                    lines.entry(off).or_default().push(i);
+                }
+                for (off, mut line) in lines {
+                    line.sort_by_key(|&i| grid[i][axis]);
+                    for (s, seed) in SEEDS.into_iter().enumerate() {
+                        let run = line.iter().map(|&i| measured[i][s]).collect();
+                        runs.push((format!("other axes at {off:?}, seed {seed}"), run));
+                    }
+                }
+                runs
+            };
+            let slack = 1e-9 * (1.0 + hi.abs());
+            for (key, &verdict) in &fc.monotone {
+                if verdict == Monotonicity::Unknown {
+                    continue;
+                }
+                for (at, run) in runs_along(key) {
+                    for (i, a) in run.iter().enumerate() {
+                        for b in &run[i + 1..] {
+                            let (Some(a), Some(b)) = (*a, *b) else {
+                                continue;
+                            };
+                            verdict_pairs += 1;
+                            let holds = match verdict {
+                                Monotonicity::Constant => (a - b).abs() <= slack,
+                                Monotonicity::NonDecreasing => a <= b + slack,
+                                Monotonicity::NonIncreasing => a + slack >= b,
+                                Monotonicity::Unknown => true,
+                            };
+                            if !holds {
+                                failures.push(format!(
+                                    "{func}: certified {verdict} in {key}, yet {a} J then {b} J \
+                                     along it ({at})"
+                                ));
+                            }
+                        }
                     }
                 }
             }
@@ -315,13 +411,14 @@ fn run_target(t: &Target) -> TargetReport {
             samples,
         });
     }
-    TargetReport {
+    let report = TargetReport {
         target: t.name.to_string(),
         interface: cert.interface.clone(),
         fingerprint: format!("{:#018x}", cert.fingerprint),
         fns,
         failures,
-    }
+    };
+    (report, verdict_pairs)
 }
 
 /// Replays the seeded bad-chunk corpus through the verifier; every entry
@@ -351,10 +448,10 @@ fn main() {
     let mut reports = Vec::new();
     let mut total_failures = 0usize;
     for t in targets() {
-        let report = run_target(&t);
+        let (report, verdict_pairs) = run_target(&t);
         let status = if report.failures.is_empty() {
             format!(
-                "ok ({} fn(s), {} sample(s))",
+                "ok ({} fn(s), {} sample(s), {verdict_pairs} verdict pair(s))",
                 report.fns.len(),
                 report.fns.iter().map(|f| f.samples).sum::<u64>()
             )
@@ -392,5 +489,8 @@ fn main() {
         eprintln!("cert gate FAILED: {total_failures} failure(s)");
         std::process::exit(1);
     }
-    println!("cert gate passed: every bundled interface certifies and every sample is admitted");
+    println!(
+        "cert gate passed: every bundled interface certifies, every sample is admitted and \
+         every verdict holds"
+    );
 }
