@@ -120,6 +120,56 @@ fn experiment_ids_are_unique() {
     }
 }
 
+/// Every `EXPERIMENTS` entry has an `<id>…_matches_golden` test here and
+/// an `<id>…_unperturbed_by_telemetry` test in `telemetry_differential.rs`.
+/// Both lists are written out by hand, because CI filters on the test
+/// names; this keeps them complete. The A1 ablation's telemetry test is
+/// left out on purpose (see `telemetry_differential.rs`).
+#[test]
+fn every_experiment_has_a_golden_and_a_telemetry_test() {
+    let golden = test_names(include_str!("golden_experiments.rs"));
+    let telemetry = test_names(include_str!("telemetry_differential.rs"));
+    for e in EXPERIMENTS {
+        let has = |names: &[String], suffix: &str| {
+            let prefix = format!("{}_", e.id);
+            names
+                .iter()
+                .any(|n| n.starts_with(&prefix) && n.ends_with(suffix))
+        };
+        assert!(
+            has(&golden, "_matches_golden"),
+            "experiment `{}` has no `{}…_matches_golden` test",
+            e.id,
+            e.id
+        );
+        if e.id != "ablation" {
+            assert!(
+                has(&telemetry, "_unperturbed_by_telemetry"),
+                "experiment `{}` has no `{}…_unperturbed_by_telemetry` test",
+                e.id,
+                e.id
+            );
+        }
+    }
+}
+
+/// The names of the `#[test]` functions in a Rust source file.
+fn test_names(src: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    let mut attributed = false;
+    for line in src.lines().map(str::trim) {
+        if line == "#[test]" {
+            attributed = true;
+        } else if let Some(rest) = line.strip_prefix("fn ") {
+            if attributed {
+                names.extend(rest.split('(').next().map(str::to_string));
+            }
+            attributed = false;
+        }
+    }
+    names
+}
+
 /// Every top-level golden file belongs to exactly one experiment, so a
 /// golden whose experiment was removed or renamed fails here instead of
 /// going stale. The Table 1 telemetry trace is pinned by
