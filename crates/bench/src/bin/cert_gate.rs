@@ -137,7 +137,7 @@ struct Axis {
 /// no declared range (the certificate still bounds it via the abstract
 /// domain, but the gate cannot pick concrete values for it).
 fn axes_for(iface: &Interface, func: &str, spec: &InputSpec) -> Option<Vec<Axis>> {
-    let params = &iface.fns.get(func)?.params;
+    let params = &iface.fns().get(func)?.params;
     let mut axes = Vec::new();
     for (i, p) in params.iter().enumerate() {
         if let Some(r) = spec.get(p) {
@@ -205,7 +205,7 @@ fn probe_grid(axes: &[Axis]) -> Vec<Vec<usize>> {
 
 /// Materialises one probe point as concrete call arguments.
 fn args_at(iface: &Interface, func: &str, axes: &[Axis], point: &[usize]) -> Vec<Value> {
-    let params = &iface.fns[func].params;
+    let params = &iface.fns()[func].params;
     let mut args: Vec<Value> = params.iter().map(|_| Value::Num(0.0)).collect();
     let mut records: Vec<Option<Vec<(String, Value)>>> = params.iter().map(|_| None).collect();
     for (axis, &k) in axes.iter().zip(point) {
@@ -349,7 +349,7 @@ fn run_target(t: &Target) -> (TargetReport, u64) {
                     }
                     return runs;
                 }
-                let params = &t.iface.fns[func.as_str()].params;
+                let params = &t.iface.fns()[func.as_str()].params;
                 let axis = axes
                     .iter()
                     .position(|a| a.field.is_none() && params[a.param] == key)

@@ -148,7 +148,7 @@ fn json_str(s: &str) -> String {
 /// functions are not certificate material).
 pub fn certify(iface: &Interface, cal: &Calibration) -> Result<Certificate> {
     let mut fns = BTreeMap::new();
-    for (name, f) in iface.fns.iter() {
+    for (name, f) in iface.fns().iter() {
         if let Some(spec) = iface.input_specs.get(name) {
             fns.insert(name.clone(), certify_fn(iface, name, spec, cal)?);
         } else if f.params.is_empty() {

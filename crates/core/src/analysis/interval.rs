@@ -736,7 +736,7 @@ impl<'a> AbsEval<'a> {
                 msg: "abstract call depth exceeded (recursive interface?)".into(),
             });
         }
-        let f = if let Some(f) = self.iface.fns.get(name) {
+        let f = if let Some(f) = self.iface.fns().get(name) {
             f
         } else if self.iface.externs.contains_key(name) {
             return Err(Error::Link {
@@ -1115,7 +1115,7 @@ impl<'a> AbsEval<'a> {
                 for a in args {
                     vals.push(self.expr(a, locals)?);
                 }
-                if self.iface.fns.contains_key(name) || self.iface.externs.contains_key(name) {
+                if self.iface.fns().contains_key(name) || self.iface.externs.contains_key(name) {
                     self.call(name, vals)
                 } else if let Some(b) = Builtin::from_name(name) {
                     builtin(b, &vals)

@@ -74,7 +74,7 @@ fn run(args: &[String], out: &mut String) -> Result<(), String> {
             out.push_str(&format!(
                 "ok: interface `{}` — {} function(s), {} ECV(s), {} unit(s), {} extern(s)\n",
                 iface.name,
-                iface.fns.len(),
+                iface.fns().len(),
                 iface.ecvs.len(),
                 iface.units.len(),
                 iface.externs.len()

@@ -91,7 +91,7 @@ pub fn link(upper: &Interface, providers: &[&Interface]) -> Result<Interface> {
         let satisfied: Vec<String> = out
             .externs
             .keys()
-            .filter(|e| provider.fns.contains_key(*e))
+            .filter(|e| provider.fns().contains_key(*e))
             .cloned()
             .collect();
         if satisfied.is_empty() {
@@ -100,7 +100,7 @@ pub fn link(upper: &Interface, providers: &[&Interface]) -> Result<Interface> {
 
         // Rename map for the provider's non-exported functions.
         let mut rename: BTreeMap<String, String> = BTreeMap::new();
-        for fname in provider.fns.keys() {
+        for fname in provider.fns().keys() {
             if satisfied.contains(fname) {
                 rename.insert(fname.clone(), fname.clone());
             } else {
@@ -110,7 +110,7 @@ pub fn link(upper: &Interface, providers: &[&Interface]) -> Result<Interface> {
 
         for ext in satisfied {
             let decl = out.externs.remove(&ext).expect("extern present");
-            let f = provider.fns.get(&ext).expect("provider fn present");
+            let f = provider.fns().get(&ext).expect("provider fn present");
             if f.params.len() != decl.arity {
                 return Err(Error::Link {
                     msg: format!(
@@ -124,9 +124,9 @@ pub fn link(upper: &Interface, providers: &[&Interface]) -> Result<Interface> {
         }
 
         // Merge the provider's functions under the rename map.
-        for (fname, f) in &provider.fns {
+        for (fname, f) in provider.fns() {
             let new_name = rename[fname].clone();
-            if out.fns.contains_key(&new_name) {
+            if out.fns().contains_key(&new_name) {
                 return Err(Error::Link {
                     msg: format!(
                         "function `{new_name}` from provider `{}` collides with an \
@@ -138,7 +138,7 @@ pub fn link(upper: &Interface, providers: &[&Interface]) -> Result<Interface> {
             let mut nf = f.clone();
             nf.name = new_name.clone();
             rename_calls_block(&mut nf.body, &rename);
-            out.fns.insert(new_name, nf);
+            out.fns_mut().insert(new_name, nf);
         }
 
         // Merge ECVs: identical redeclaration is allowed, conflicts are not.
@@ -165,7 +165,7 @@ pub fn link(upper: &Interface, providers: &[&Interface]) -> Result<Interface> {
             out.units.insert(u.clone());
         }
         for (ename, edecl) in &provider.externs {
-            if out.fns.contains_key(ename) {
+            if out.fns().contains_key(ename) {
                 // Already satisfied by something previously merged.
                 continue;
             }
@@ -202,7 +202,7 @@ pub fn link_closure(upper: &Interface, registry: &Registry) -> Result<Interface>
         let before: Vec<String> = current.externs.keys().cloned().collect();
         let providers: Vec<&Interface> = registry
             .iter()
-            .filter(|p| current.externs.keys().any(|e| p.fns.contains_key(e)))
+            .filter(|p| current.externs.keys().any(|e| p.fns().contains_key(e)))
             .collect();
         if providers.is_empty() {
             return Ok(current);
@@ -308,9 +308,9 @@ mod tests {
         let linked = link(&upper, &[&gpu]).unwrap();
         assert!(linked.is_closed());
         // Private helper namespaced; public entry points keep names.
-        assert!(linked.fns.contains_key("gpu_matmul"));
-        assert!(linked.fns.contains_key("gpu4090__per_flop"));
-        assert!(!linked.fns.contains_key("per_flop"));
+        assert!(linked.fns().contains_key("gpu_matmul"));
+        assert!(linked.fns().contains_key("gpu4090__per_flop"));
+        assert!(!linked.fns().contains_key("per_flop"));
 
         let work = Value::num_record([("flops", 1e6), ("bytes", 1e3)]);
         let e = evaluate_energy(

@@ -92,8 +92,10 @@ pub struct Interface {
     pub name: String,
     /// Documentation shown at the top of the pretty-printed interface.
     pub doc: String,
-    /// Function definitions, keyed by name.
-    pub fns: BTreeMap<String, FnDef>,
+    /// Function definitions, keyed by name. Read through
+    /// [`Interface::fns`]; every edit goes through [`Interface::add_fn`] or
+    /// [`Interface::fns_mut`], which forget the fingerprint memo.
+    fns: BTreeMap<String, FnDef>,
     /// ECV declarations, keyed by name.
     pub ecvs: BTreeMap<String, EcvDecl>,
     /// Abstract energy units this interface may emit.
@@ -106,53 +108,65 @@ pub struct Interface {
     /// equal, serializes as `null`; empty for programmatically built
     /// interfaces).
     pub spans: crate::span::SpanTable,
-    /// The verified program last compiled from this interface (metadata,
-    /// like `spans`; see [`Interface::program`]).
-    pub(crate) compiled: CompiledProgram,
+    /// The verified program last compiled from this interface and the
+    /// memoized fingerprint walk over `fns` (metadata, like `spans`; see
+    /// [`Interface::program`] and [`Interface::fns_state`]). Named for the
+    /// program it held first: the serialized form shows the name, as
+    /// `"compiled": null`.
+    pub(crate) compiled: Carried,
 }
 
-/// The verified program an [`Interface`] carries, with the content
-/// fingerprint it was compiled at.
+/// What an [`Interface`] carries between uses: the verified program with
+/// the content fingerprint it was compiled at, and the fingerprint walk's
+/// state before and after `fns`.
 ///
 /// Metadata, not identity, like [`SpanTable`](crate::span::SpanTable): it
 /// always compares equal, serializes as `null`, prints nothing under
 /// `Debug`, and the fingerprint skips it, so whether a driver has run on
-/// an interface never shows. `Clone` shares the program; a clone that is
-/// then edited recompiles on its next use, because its fingerprint no
-/// longer matches. The lock is `parking_lot`'s, which does not poison.
+/// an interface never shows. `Clone` copies both; a clone whose `fns` is
+/// then edited forgets its copy of the walk, and recompiles on its next
+/// use because its fingerprint no longer matches. The lock is
+/// `parking_lot`'s, which does not poison.
 #[derive(Default)]
-pub(crate) struct CompiledProgram(Mutex<Option<(u64, Arc<vm::Program>)>>);
+pub(crate) struct Carried(Mutex<CarriedState>);
+
+#[derive(Clone, Default)]
+struct CarriedState {
+    program: Option<(u64, Arc<vm::Program>)>,
+    fns_walk: Option<(u64, u64)>,
+}
 
 #[cfg(test)]
-impl CompiledProgram {
+impl Carried {
     /// The stored program, if any, whatever fingerprint it was compiled at.
     pub(crate) fn stored(&self) -> Option<Arc<vm::Program>> {
         self.0
             .lock()
+            .program
             .as_ref()
             .map(|(_, program)| Arc::clone(program))
     }
 }
 
-impl Clone for CompiledProgram {
+impl Clone for Carried {
     fn clone(&self) -> Self {
-        CompiledProgram(Mutex::new(self.0.lock().clone()))
+        Carried(Mutex::new(self.0.lock().clone()))
     }
 }
 
-impl PartialEq for CompiledProgram {
+impl PartialEq for Carried {
     fn eq(&self, _other: &Self) -> bool {
         true
     }
 }
 
-impl fmt::Debug for CompiledProgram {
+impl fmt::Debug for Carried {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("..")
     }
 }
 
-impl Serialize for CompiledProgram {
+impl Serialize for Carried {
     fn to_value(&self) -> serde::Value {
         serde::Value::Null
     }
@@ -170,28 +184,79 @@ impl Interface {
             externs: BTreeMap::new(),
             input_specs: BTreeMap::new(),
             spans: crate::span::SpanTable::default(),
-            compiled: CompiledProgram::default(),
+            compiled: Carried::default(),
         }
     }
 
     /// This interface's verified program, compiled once per content.
     ///
-    /// Walks the [fingerprint](fingerprint_interface) and returns the
-    /// stored program when it was compiled at the same fingerprint.
+    /// Takes the [fingerprint](fingerprint_interface), which reuses the
+    /// memoized walk over `fns` until they are next edited, and returns
+    /// the stored program when it was compiled at the same fingerprint.
     /// Otherwise runs [`vm::compile`] (lowering plus full verification)
     /// outside the lock and stores the result, replacing any program
-    /// compiled before an in-place edit through the `pub` fields. Errors
-    /// are returned, never stored.
+    /// compiled before an in-place edit. Errors are returned, never
+    /// stored.
     pub(crate) fn program(&self) -> Result<Arc<vm::Program>> {
         let fingerprint = fingerprint_interface(self);
-        if let Some((at, program)) = &*self.compiled.0.lock() {
+        if let Some((at, program)) = &self.compiled.0.lock().program {
             if *at == fingerprint {
                 return Ok(Arc::clone(program));
             }
         }
         let program = Arc::new(vm::compile(self)?);
-        *self.compiled.0.lock() = Some((fingerprint, Arc::clone(&program)));
+        self.compiled.0.lock().program = Some((fingerprint, Arc::clone(&program)));
         Ok(program)
+    }
+
+    /// The fingerprint walk's state after `fns`, given its state `before`
+    /// them (the state after `name` and `doc`).
+    ///
+    /// `walk(before, fns)` runs only when the memo holds no state reached
+    /// from `before` since `fns` was last edited; its result is stored. The
+    /// state after `fns` is a function of the state before and of `fns`
+    /// alone, so reusing it is exact: every fingerprint is the value a
+    /// full walk gives.
+    pub(crate) fn fns_state(
+        &self,
+        before: u64,
+        walk: impl FnOnce(u64, &BTreeMap<String, FnDef>) -> u64,
+    ) -> u64 {
+        // Destructured so that a new field fails to compile until
+        // `cache::hash_interface` hashes it (or, like the `spans` and
+        // `compiled` metadata, deliberately leaves it out).
+        let Interface {
+            name: _,
+            doc: _,
+            fns,
+            ecvs: _,
+            units: _,
+            externs: _,
+            input_specs: _,
+            spans: _,
+            compiled,
+        } = self;
+        if let Some((at, after)) = compiled.0.lock().fns_walk {
+            if at == before {
+                return after;
+            }
+        }
+        let after = walk(before, fns);
+        compiled.0.lock().fns_walk = Some((before, after));
+        after
+    }
+
+    /// The function definitions, keyed by name.
+    pub fn fns(&self) -> &BTreeMap<String, FnDef> {
+        &self.fns
+    }
+
+    /// The function definitions, for editing in place. Forgets the
+    /// memoized fingerprint walk over them first, so the next fingerprint
+    /// walks what the caller leaves.
+    pub fn fns_mut(&mut self) -> &mut BTreeMap<String, FnDef> {
+        self.compiled.0.get_mut().fns_walk = None;
+        &mut self.fns
     }
 
     /// Adds a function definition; errors on duplicates.
@@ -208,7 +273,7 @@ impl Interface {
                 name: f.name.clone(),
             });
         }
-        self.fns.insert(f.name.clone(), f);
+        self.fns_mut().insert(f.name.clone(), f);
         Ok(())
     }
 
@@ -531,6 +596,85 @@ mod tests {
         assert_eq!(spec.iter().count(), 2);
         assert!(!spec.is_empty());
         assert_eq!(FeatureRange::point(3.0), FeatureRange::new(3.0, 3.0));
+    }
+
+    const MEMO_SRC: &str = r#"
+        interface memo "memo" {
+            fn cost(n) { return 2 mJ * n; }
+            fn twice(n) { return cost(n) + cost(n); }
+        }
+    "#;
+
+    /// An interface whose fingerprint memo is warm.
+    fn warm() -> Interface {
+        let i = crate::parser::parse(MEMO_SRC).unwrap();
+        fingerprint_interface(&i);
+        assert!(i.compiled.0.lock().fns_walk.is_some());
+        i
+    }
+
+    /// The fingerprint of a fresh re-parse of the printed text, whose
+    /// memo is cold: what a full walk gives.
+    fn cold(i: &Interface) -> u64 {
+        let fresh = crate::parser::parse(&crate::pretty::print_interface(i)).unwrap();
+        assert!(fresh.compiled.0.lock().fns_walk.is_none());
+        fingerprint_interface(&fresh)
+    }
+
+    #[test]
+    fn fns_mut_forgets_the_fingerprint_memo() {
+        let mut i = warm();
+        let before = fingerprint_interface(&i);
+        i.fns_mut().get_mut("cost").unwrap().body = ret(Expr::Joules(3.0));
+        assert_ne!(fingerprint_interface(&i), before);
+        assert_eq!(fingerprint_interface(&i), cold(&i));
+        i.add_fn(FnDef::new("idle", vec![], ret(Expr::Joules(1.0))))
+            .unwrap();
+        assert_eq!(fingerprint_interface(&i), cold(&i));
+    }
+
+    #[test]
+    fn name_and_doc_edits_rewalk_fns() {
+        let mut i = warm();
+        let before = fingerprint_interface(&i);
+        i.name.push('x');
+        assert_ne!(fingerprint_interface(&i), before);
+        assert_eq!(fingerprint_interface(&i), cold(&i));
+        i.doc.push_str(" edited");
+        assert_eq!(fingerprint_interface(&i), cold(&i));
+    }
+
+    #[test]
+    fn an_edited_clone_leaves_the_original_memo_intact() {
+        let original = warm();
+        let before = fingerprint_interface(&original);
+        let mut copy = original.clone();
+        copy.fns_mut().remove("twice");
+        assert_eq!(fingerprint_interface(&copy), cold(&copy));
+        assert_ne!(fingerprint_interface(&copy), before);
+        assert_eq!(fingerprint_interface(&original), before);
+        assert_eq!(before, cold(&original));
+    }
+
+    #[test]
+    fn concurrent_fingerprints_agree_with_a_full_walk() {
+        let mut i = warm();
+        // After this edit the memo holds a walk from another `before`
+        // state, so the threads race to re-walk and store.
+        i.name.push('x');
+        let expected = cold(&i);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..8 {
+                        assert_eq!(fingerprint_interface(&i), expected);
+                    }
+                });
+            }
+        });
+        assert_eq!(fingerprint_interface(&i), expected);
     }
 
     #[test]

@@ -116,7 +116,7 @@ impl<'a> Eval<'a> {
                 limit: self.max_depth,
             });
         }
-        if let Some(f) = self.iface.fns.get(name) {
+        if let Some(f) = self.iface.fns().get(name) {
             return self.call_fn(f, args, depth);
         }
         if let Some(b) = Builtin::from_name(name) {

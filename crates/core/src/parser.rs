@@ -753,7 +753,7 @@ impl Parser {
 /// tree stays aligned untouched.
 pub fn resolve_ecv_reads(iface: &mut Interface) {
     let ecv_names: BTreeSet<String> = iface.ecvs.keys().cloned().collect();
-    for f in iface.fns.values_mut() {
+    for f in iface.fns_mut().values_mut() {
         let mut bound: BTreeSet<String> = f.params.iter().cloned().collect();
         rewrite_block(&mut f.body, &mut bound, &ecv_names);
     }
@@ -899,7 +899,7 @@ mod tests {
     fn parses_fig1() {
         let iface = parse(FIG1).unwrap();
         assert_eq!(iface.name, "ml_webservice");
-        assert_eq!(iface.fns.len(), 6);
+        assert_eq!(iface.fns().len(), 6);
         assert_eq!(iface.ecvs.len(), 2);
         assert_eq!(iface.units.len(), 3);
         assert!(iface.is_closed());

@@ -37,7 +37,7 @@ pub fn print_interface(iface: &Interface) -> String {
         }
         out.push_str(";\n");
     }
-    for f in iface.fns.values() {
+    for f in iface.fns().values() {
         out.push('\n');
         print_fn(&mut out, f, 1);
     }

@@ -190,7 +190,7 @@ impl LintRule for Uncalibrated {
 
     fn check(&self, cx: &LintContext<'_>, out: &mut Diagnostics) {
         let cal = &cx.options.calibration;
-        for (name, f) in &cx.iface.fns {
+        for (name, f) in cx.iface.fns() {
             let fs = cx.iface.spans.fn_spans(name);
             let mut seen: BTreeSet<String> = BTreeSet::new();
             visit_fn_exprs(&f.body, &fs.body, &mut |e, sp| {
@@ -227,7 +227,7 @@ impl LintRule for NegativeEnergy {
     }
 
     fn check(&self, cx: &LintContext<'_>, out: &mut Diagnostics) {
-        for (name, f) in &cx.iface.fns {
+        for (name, f) in cx.iface.fns() {
             // Build abstract arguments from the declared input space; a
             // parameterless function needs none. Anything else (no spec,
             // open interface, analysis failure) is inconclusive, not a
@@ -334,7 +334,7 @@ fn check_loop_bounds(info: RuleInfo, cx: &LintContext<'_>, out: &mut Diagnostics
     // Joined argument intervals observed at call sites, per callee.
     let mut incoming: BTreeMap<String, Vec<Option<Interval>>> = BTreeMap::new();
     for name in &order {
-        let f = &cx.iface.fns[name];
+        let f = &cx.iface.fns()[name];
         let fs = cx.iface.spans.fn_spans(name);
         let mut env: BTreeMap<String, Interval> = BTreeMap::new();
         match cx.iface.input_specs.get(name) {
@@ -499,7 +499,7 @@ impl BoundWalker<'_, '_> {
             }
             Expr::Call(name, args) => {
                 let ivs: Vec<Interval> = args.iter().map(|a| self.eval(a, env)).collect();
-                if self.cx.iface.fns.contains_key(name) {
+                if self.cx.iface.fns().contains_key(name) {
                     let slot = self
                         .incoming
                         .entry(name.clone())
@@ -608,7 +608,7 @@ impl LintRule for DeadCode {
     fn check(&self, cx: &LintContext<'_>, out: &mut Diagnostics) {
         let mut ecvs_read: BTreeSet<String> = BTreeSet::new();
         let mut units_used: BTreeSet<String> = BTreeSet::new();
-        for f in cx.iface.fns.values() {
+        for f in cx.iface.fns().values() {
             ecvs_read.extend(f.ecvs_read());
             for s in &f.body {
                 s.visit_exprs(&mut |e| {
@@ -642,7 +642,7 @@ impl LintRule for DeadCode {
                 ));
             }
         }
-        for (name, f) in &cx.iface.fns {
+        for (name, f) in cx.iface.fns() {
             self.dead_locals(cx, name, f, out);
         }
     }
@@ -697,7 +697,7 @@ impl LintRule for Nondeterminism {
     }
 
     fn check(&self, cx: &LintContext<'_>, out: &mut Diagnostics) {
-        for (name, f) in &cx.iface.fns {
+        for (name, f) in cx.iface.fns() {
             let fs = cx.iface.spans.fn_spans(name);
             // Statement-level pass: ECVs in loop bounds, branches on
             // continuous ECVs in statement conditions.
@@ -798,7 +798,7 @@ impl LintRule for CompositionShape {
             }
             let mut sigs = None;
             for (name, ext) in &cx.iface.externs {
-                let Some(pf) = provider.fns.get(name) else {
+                let Some(pf) = provider.fns().get(name) else {
                     continue;
                 };
                 let span = cx.iface.spans.extern_decl(name);

@@ -71,7 +71,7 @@ pub fn infer_interface(iface: &Interface) -> (BTreeMap<String, FnSig>, Diagnosti
     let mut sigs: BTreeMap<String, FnSig> = BTreeMap::new();
     let mut diags = Diagnostics::new();
     for name in topo_order(iface) {
-        let f = &iface.fns[&name];
+        let f = &iface.fns()[&name];
         let spans = iface.spans.fn_spans(&name);
         let mut inf = Inferencer {
             iface,

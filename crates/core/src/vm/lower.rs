@@ -59,7 +59,7 @@ pub fn compile(iface: &Interface) -> Result<Program> {
     // order. Units cover both declared units and unit literals in bodies.
     let mut units: BTreeSet<String> = iface.units.iter().cloned().collect();
     let mut ecv_names: BTreeSet<String> = BTreeSet::new();
-    for f in iface.fns.values() {
+    for f in iface.fns().values() {
         for s in &f.body {
             s.visit_exprs(&mut |e| match e {
                 Expr::Unit(u, _) => {
@@ -82,14 +82,14 @@ pub fn compile(iface: &Interface) -> Result<Program> {
     // Dense function ids in BTreeMap (name) order — the interpreter's own
     // deterministic iteration order.
     let fn_ids: BTreeMap<String, u32> = iface
-        .fns
+        .fns()
         .keys()
         .enumerate()
         .map(|(i, n)| (n.clone(), i as u32))
         .collect();
 
-    let mut chunks = Vec::with_capacity(iface.fns.len());
-    for f in iface.fns.values() {
+    let mut chunks = Vec::with_capacity(iface.fns().len());
+    for f in iface.fns().values() {
         let lower = FnLower::new(iface, f, &mut symbols, &fn_ids, &ecv_slots);
         chunks.push(lower.run()?);
     }
@@ -497,7 +497,7 @@ impl<'a> FnLower<'a> {
             Expr::Call(name, args) => {
                 let (base, n) = self.arg_slots(args)?;
                 if let Some(&f) = self.fn_ids.get(name) {
-                    let arity = self.iface.fns[name].params.len();
+                    let arity = self.iface.fns()[name].params.len();
                     if arity == args.len() {
                         self.emit(Instr::Call { f, dst, base, n });
                     } else {

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 
-use ei_core::ast::{BinOp, Builtin, Expr, FnDef, Stmt};
+use ei_core::ast::{BinOp, Builtin, Expr, FnDef, Stmt, UnOp};
 use ei_core::ecv::{DistSpec, EcvDecl};
 use ei_core::interface::{InputSpec, Interface};
 
@@ -29,6 +29,11 @@ pub fn arb_ident() -> impl Strategy<Value = String> {
 }
 
 /// Numeric expressions over one scalar parameter `x`.
+///
+/// Negation wraps only non-literals: the parser folds `-5` into `Num(-5)`,
+/// so `Unary(Neg, Num(5))` would not round-trip. The comparison node
+/// `if a < b { t } else { e }` (or `<=`) sometimes compares `a` with
+/// itself, where the two operators disagree.
 pub fn arb_num_expr() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![arb_lit().prop_map(Expr::Num), Just(Expr::var("x")),];
     leaf.prop_recursive(3, 24, 3, |inner| {
@@ -43,6 +48,24 @@ pub fn arb_num_expr() -> impl Strategy<Value = Expr> {
             inner
                 .clone()
                 .prop_map(|a| Expr::BuiltinCall(Builtin::Abs, vec![a])),
+            inner
+                .clone()
+                .prop_filter("a negated literal folds on re-parse", |a| {
+                    !matches!(a, Expr::Num(_))
+                })
+                .prop_map(|a| Expr::Unary(UnOp::Neg, Box::new(a))),
+            (
+                inner.clone(),
+                inner.clone(),
+                inner.clone(),
+                any::<bool>(),
+                any::<bool>()
+            )
+                .prop_map(|(a, b, e, le, itself)| {
+                    let op = if le { BinOp::Le } else { BinOp::Lt };
+                    let rhs = if itself { a.clone() } else { b.clone() };
+                    Expr::IfExpr(Box::new(Expr::bin(op, a, rhs)), Box::new(b), Box::new(e))
+                }),
         ]
     })
 }

@@ -364,7 +364,7 @@ struct Input {
 fn oracle_inputs(iface: &Interface, func: &str, spec: &InputSpec) -> Vec<Input> {
     let ends = |lo: f64, hi: f64| [lo, (lo + hi) / 2.0, hi].map(EcvValue::Num).to_vec();
     let mut out = Vec::new();
-    for p in &iface.fns[func].params {
+    for p in &iface.fns()[func].params {
         let r = spec
             .get(p)
             .expect("generated parameters are scalar and specced");

@@ -407,8 +407,8 @@ mod tests {
         assert!(text.contains("ecv batch_size"));
         let again = ei_core::parser::parse(&text).unwrap();
         assert_eq!(
-            again.fns.len(),
-            gpt2_batch_interface(&gpt2_small()).fns.len()
+            again.fns().len(),
+            gpt2_batch_interface(&gpt2_small()).fns().len()
         );
     }
 }

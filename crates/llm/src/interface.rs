@@ -177,7 +177,7 @@ mod tests {
     #[test]
     fn interface_parses_and_is_open() {
         let i = gpt2_interface(&gpt2_small());
-        assert_eq!(i.fns.len(), 9);
+        assert_eq!(i.fns().len(), 9);
         assert!(!i.is_closed());
         assert!(i.externs.contains_key("gpu_kernel"));
         let m = gpt2_interface(&gpt2_medium());
@@ -276,6 +276,6 @@ mod tests {
         assert!(text.contains("extern fn gpu_kernel"));
         // And round-trips.
         let again = ei_core::parser::parse(&text).unwrap();
-        assert_eq!(again.fns.len(), 9);
+        assert_eq!(again.fns().len(), 9);
     }
 }

@@ -249,6 +249,29 @@ enum MonitorOutcome {
     StillDrifting,
 }
 
+/// What predicting under one interface version needs besides the request:
+/// the version's declared ECV environment, re-pinned per request, and its
+/// evaluation config. Built when the version becomes active.
+struct VersionQuery {
+    version: u32,
+    env: EcvEnv,
+    config: EvalConfig,
+}
+
+impl VersionQuery {
+    fn active(registry: &InterfaceRegistry) -> Self {
+        let v = registry.current();
+        VersionQuery {
+            version: registry.active_version(),
+            env: EcvEnv::from_decls(&v.interfaces[0].ecvs),
+            config: EvalConfig {
+                calibration: v.calibration.clone(),
+                ..EvalConfig::default()
+            },
+        }
+    }
+}
+
 /// The recalibrating serving stack: a [`ServiceFrontend`] plus the
 /// versioned interface registry and the drift-control loop around it.
 ///
@@ -263,6 +286,7 @@ pub struct RecalFrontend {
     nic_cfg: NicConfig,
     cfg: RecalConfig,
     registry: InterfaceRegistry,
+    query: VersionQuery,
     cache: EvalCache,
     detector: ResidualDetector,
     stats: RecalStats,
@@ -325,6 +349,7 @@ impl RecalFrontend {
             gpu_cfg: gpu,
             nic_cfg: nic,
             cfg: recal,
+            query: VersionQuery::active(&registry),
             registry,
             cache: EvalCache::new(),
             detector,
@@ -419,16 +444,20 @@ impl RecalFrontend {
 
     /// Predicts the request's energy under the active interface version
     /// with every ECV pinned to what actually happened — the residual
-    /// then measures *parameter* drift, not path-mixture luck.
-    fn predict(&self, req: &Request, path: FinalPath, st: &FaultState) -> f64 {
-        let v = self.registry.current();
-        let iface = &v.interfaces[0];
+    /// then measures *parameter* drift, not path-mixture luck. The
+    /// version's env and config are rebuilt only when a swap or rollback
+    /// changed the active version.
+    fn predict(&mut self, req: &Request, path: FinalPath, st: &FaultState) -> f64 {
+        if self.query.version != self.registry.active_version() {
+            self.query = VersionQuery::active(&self.registry);
+        }
+        let iface = &self.registry.current().interfaces[0];
         let (hit, local) = match path {
             FinalPath::LocalHit => (true, true),
             FinalPath::RemoteHit => (true, false),
             FinalPath::Recompute { .. } => (false, false),
         };
-        let mut env = EcvEnv::from_decls(&iface.ecvs);
+        let env = &mut self.query.env;
         env.pin_bool("request_hit", hit);
         env.pin_bool("local_cache_hit", local);
         env.pin_bool("remote_alive", st.remote_alive);
@@ -437,17 +466,13 @@ impl RecalFrontend {
             "degraded",
             matches!(path, FinalPath::Recompute { degraded: true }),
         );
-        let config = EvalConfig {
-            calibration: v.calibration.clone(),
-            ..EvalConfig::default()
-        };
         let args = [Value::num_record([
             ("image_id", req.image_id as f64),
             ("image_size", req.image_size as f64),
             ("image_zeros", req.image_zeros as f64),
         ])];
         self.cache
-            .evaluate_energy_cached(iface, "handle", &args, &env, 0, &config)
+            .evaluate_energy_cached(iface, "handle", &args, env, 0, &self.query.config)
             .map(|e| e.as_joules())
             .unwrap_or(0.0)
     }

@@ -238,7 +238,7 @@ proptest! {
         let e1 = cache.expected_energy_cached(&iface, "f", &args, &cfg).unwrap();
 
         // In-place mutation: rewrite the function body's coefficient.
-        iface.fns.get_mut("f").unwrap().body = vec![Stmt::Return(Expr::BuiltinCall(
+        iface.fns_mut().get_mut("f").unwrap().body = vec![Stmt::Return(Expr::BuiltinCall(
             Builtin::Joules,
             vec![Expr::bin(BinOp::Mul, Expr::Num(c2 as f64), Expr::var("x"))],
         ))];
@@ -735,6 +735,9 @@ impl Mutator {
 
     /// Every single-field edit of `iface`.
     fn interface(&mut self, iface: &Interface) -> Vec<Interface> {
+        // Warm the fingerprint memo every clone copies, so an edit that
+        // fails to forget it shows as an unchanged fingerprint.
+        fingerprint_interface(iface);
         let mut out = Vec::new();
         let mut edit = |f: &mut dyn FnMut(&mut Interface)| {
             let mut c = iface.clone();
@@ -749,16 +752,22 @@ impl Mutator {
                 c.units.remove(u);
             });
         }
-        for (key, f) in &iface.fns {
+        for (key, f) in iface.fns() {
             edit(&mut |c| {
-                let f = c.fns.remove(key).unwrap();
-                c.fns.insert(renamed(key), f);
+                let f = c.fns_mut().remove(key).unwrap();
+                c.fns_mut().insert(renamed(key), f);
             });
-            edit(&mut |c| c.fns.get_mut(key).unwrap().name.push('x'));
-            edit(&mut |c| c.fns.get_mut(key).unwrap().doc.push('x'));
-            edit(&mut |c| c.fns.get_mut(key).unwrap().params.push("extra".into()));
+            edit(&mut |c| c.fns_mut().get_mut(key).unwrap().name.push('x'));
+            edit(&mut |c| c.fns_mut().get_mut(key).unwrap().doc.push('x'));
+            edit(&mut |c| {
+                c.fns_mut()
+                    .get_mut(key)
+                    .unwrap()
+                    .params
+                    .push("extra".into())
+            });
             for i in 0..f.params.len() {
-                edit(&mut |c| c.fns.get_mut(key).unwrap().params[i].push('x'));
+                edit(&mut |c| c.fns_mut().get_mut(key).unwrap().params[i].push('x'));
             }
             edit(&mut |c| c.set_input_spec(key.clone(), InputSpec::new().range("zz", 0.0, 1.0)));
         }
@@ -806,10 +815,10 @@ impl Mutator {
         }
 
         // Edits that reach into function bodies and ECV distributions.
-        for (key, f) in &iface.fns {
+        for (key, f) in iface.fns() {
             for body in self.block(&f.body) {
                 let mut c = iface.clone();
-                c.fns.get_mut(key).unwrap().body = body;
+                c.fns_mut().get_mut(key).unwrap().body = body;
                 out.push(c);
             }
         }
@@ -1293,7 +1302,7 @@ fn edit_answers(iface: &Interface, mode: ExecMode) -> Vec<(String, String)> {
         Err(e) => format!("error: {e:?}"),
     };
     let mut out = Vec::new();
-    for (name, f) in &iface.fns {
+    for (name, f) in iface.fns() {
         let args: Vec<Value> = f.params.iter().map(|_| Value::Num(2.0)).collect();
         let argsets = vec![
             args.clone(),
@@ -1311,13 +1320,13 @@ fn edit_answers(iface: &Interface, mode: ExecMode) -> Vec<(String, String)> {
     out
 }
 
-/// An in-place edit through the `pub` fields never runs a stale program:
-/// after each edit the answers equal those of a freshly parsed copy of the
-/// edited interface and of the tree-walk.
+/// An in-place edit (through `fns_mut()` or a `pub` field) never runs a
+/// stale program: after each edit the answers equal those of a freshly
+/// parsed copy of the edited interface and of the tree-walk.
 #[test]
 fn edited_interfaces_never_run_a_stale_program() {
     let set_body = |iface: &mut Interface, name: &str, i: usize, stmt: Stmt| {
-        iface.fns.get_mut(name).unwrap().body[i] = stmt;
+        iface.fns_mut().get_mut(name).unwrap().body[i] = stmt;
     };
     type Edit = Box<dyn Fn(&mut Interface)>;
     let edits: Vec<(&str, bool, Edit)> = vec![
@@ -1387,7 +1396,7 @@ fn editing_a_clone_leaves_the_original_unchanged() {
     let original = parse(EDIT_SRC).unwrap();
     let before = edit_answers(&original, ExecMode::Auto);
     let mut copy = original.clone();
-    copy.fns.get_mut("f").unwrap().body[0] = Stmt::Let("c".into(), Expr::Num(7.0));
+    copy.fns_mut().get_mut("f").unwrap().body[0] = Stmt::Let("c".into(), Expr::Num(7.0));
     assert_ne!(edit_answers(&copy, ExecMode::Auto), before);
     assert_eq!(edit_answers(&original, ExecMode::Auto), before);
 }

@@ -168,7 +168,7 @@ fn rewriting_manager_injects_its_own_state() {
             )
             .unwrap();
             iface
-                .add_fn(body.fns["cached_read"].clone())
+                .add_fn(body.fns()["cached_read"].clone())
                 .expect("no collision");
             iface.validate()?;
             Ok(iface)

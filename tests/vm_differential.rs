@@ -282,7 +282,7 @@ const CHAIN_DEPTH: usize = 5;
 fn memo_fixture() -> ei_core::interface::Interface {
     use ei_core::ast::{Expr, Stmt};
     let mut iface = parse(CALL_MEMO).unwrap();
-    iface.fns.get_mut("root").unwrap().body = vec![Stmt::Return(Expr::Call(
+    iface.fns_mut().get_mut("root").unwrap().body = vec![Stmt::Return(Expr::Call(
         "sqrt".into(),
         vec![Expr::var("x")],
     ))];
