@@ -819,6 +819,50 @@ mod tests {
     }
 
     #[test]
+    fn full_remote_tier_eviction_is_pinned() {
+        // Tiers far smaller than the hot set, so both of every replica's
+        // tiers fill early and the run evicts from them on most requests.
+        // The exact counters and mean energy pin the eviction order: a
+        // different victim changes which later requests hit.
+        let mut fe = ServiceFrontend::new(
+            rtx4090(),
+            datacenter_nic(),
+            8,
+            64,
+            FaultPlan::healthy(17),
+            FrontendConfig::default(),
+        )
+        .unwrap();
+        let stream = request_stream(3000, 96, 0.7, 8192, 0.25, 23);
+        assert_eq!(fe.run(&stream, TimeSpan::millis(5.0)), 3000);
+        // Debug-printed f64s round-trip, so these literals are exact.
+        assert_eq!(
+            fe.stats(),
+            FrontendStats {
+                completed: 3000,
+                shed: 0,
+                local_hits: 113,
+                remote_hits: 784,
+                recomputes: 2103,
+                remote_timeouts: 0,
+                retries: 0,
+                remote_skipped: 0,
+                browned_recomputes: 0,
+                degraded_recomputes: 0,
+                inserts: 2103,
+                inserts_replicated: 2103,
+                meter_stale: 0,
+                metered_energy_j: 11.964999999999854,
+                true_energy_j: 11.965681338881618,
+            }
+        );
+        assert_eq!(
+            fe.mean_request_energy().as_joules().to_bits(),
+            0x3f70_564f_0acc_99c9
+        );
+    }
+
+    #[test]
     fn faulted_interface_predicts_brownout_run() {
         // End-to-end single-scenario version of the E9 check: serve under
         // a permanent brownout, pin the measured mixture, and the
