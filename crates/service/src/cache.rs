@@ -5,7 +5,7 @@
 //! by systemd) under the web service. This module is that substrate: an
 //! LRU in local DRAM backed by a larger remote tier reached over the NIC.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use ei_core::units::{Energy, TimeSpan};
 use ei_hw::nic::NicSim;
@@ -47,11 +47,19 @@ impl Default for CacheEnergy {
 }
 
 /// One LRU tier with fixed entry capacity.
+///
+/// Every touch and every insert takes a fresh `stamp`, so no two resident
+/// entries ever share one. `order` is the inverse of `entries`
+/// (stamp → key), which makes the least-recently-used entry its first
+/// element: eviction is `pop_first`, O(log n) instead of a scan.
 #[derive(Debug)]
 struct LruTier {
     capacity: usize,
     stamp: u64,
+    /// key → stamp of its last touch or insert.
     entries: HashMap<u64, u64>,
+    /// stamp → key, one entry per resident key.
+    order: BTreeMap<u64, u64>,
 }
 
 impl LruTier {
@@ -60,12 +68,15 @@ impl LruTier {
             capacity: capacity.max(1),
             stamp: 0,
             entries: HashMap::new(),
+            order: BTreeMap::new(),
         }
     }
 
     fn contains_touch(&mut self, key: u64) -> bool {
         self.stamp += 1;
         if let Some(s) = self.entries.get_mut(&key) {
+            self.order.remove(s);
+            self.order.insert(self.stamp, key);
             *s = self.stamp;
             true
         } else {
@@ -74,14 +85,20 @@ impl LruTier {
     }
 
     fn insert(&mut self, key: u64) {
-        self.stamp += 1;
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
-            // Deterministic LRU eviction: min (stamp, key).
-            if let Some((&victim, _)) = self.entries.iter().min_by_key(|(k, s)| (**s, **k)) {
+        // A resident key is just touched: one fresh stamp either way.
+        if self.contains_touch(key) {
+            return;
+        }
+        if self.entries.len() >= self.capacity {
+            // The least stamp is unique, so this is exactly the entry a
+            // scan for the least `(stamp, key)` picks: the key never
+            // decides a tie.
+            if let Some((_, victim)) = self.order.pop_first() {
                 self.entries.remove(&victim);
             }
         }
         self.entries.insert(key, self.stamp);
+        self.order.insert(self.stamp, key);
     }
 
     fn len(&self) -> usize {
@@ -246,6 +263,8 @@ impl RequestCache {
 mod tests {
     use super::*;
     use ei_hw::nic::datacenter_nic;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn cache(local: usize, remote: usize) -> RequestCache {
         RequestCache::new(
@@ -342,5 +361,65 @@ mod tests {
         assert_eq!((l, r, m), (1, 0, 1));
         assert!(c.energy().as_joules() > 0.0);
         assert_eq!(c.local_len(), 1);
+    }
+
+    /// The tier as it was before the ordered index: evict the entry with
+    /// the least `(stamp, key)`, found by scanning every entry.
+    struct ScanTier {
+        capacity: usize,
+        stamp: u64,
+        entries: HashMap<u64, u64>,
+    }
+
+    impl ScanTier {
+        fn contains_touch(&mut self, key: u64) -> bool {
+            self.stamp += 1;
+            match self.entries.get_mut(&key) {
+                Some(s) => {
+                    *s = self.stamp;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn insert(&mut self, key: u64) {
+            self.stamp += 1;
+            if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
+                if let Some((&victim, _)) = self.entries.iter().min_by_key(|(k, s)| (**s, **k)) {
+                    self.entries.remove(&victim);
+                }
+            }
+            self.entries.insert(key, self.stamp);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn ordered_index_evicts_like_the_scan(
+            capacity in 1usize..=8,
+            ops in proptest::collection::vec((any::<bool>(), 0u64..16), 0..=300),
+        ) {
+            let mut tier = LruTier::new(capacity);
+            let mut model = ScanTier { capacity, stamp: 0, entries: HashMap::new() };
+            for (i, &(touch, key)) in ops.iter().enumerate() {
+                if touch {
+                    prop_assert_eq!(tier.contains_touch(key), model.contains_touch(key), "op {}", i);
+                } else {
+                    tier.insert(key);
+                    model.insert(key);
+                }
+                let resident: BTreeSet<u64> = tier.entries.keys().copied().collect();
+                let expected: BTreeSet<u64> = model.entries.keys().copied().collect();
+                prop_assert_eq!(resident, expected, "op {}", i);
+                prop_assert_eq!(tier.order.len(), tier.entries.len(), "op {}", i);
+                prop_assert!(
+                    tier.order.iter().all(|(s, k)| tier.entries.get(k) == Some(s)),
+                    "op {}: order is not the inverse of entries", i
+                );
+            }
+        }
     }
 }
