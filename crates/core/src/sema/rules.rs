@@ -22,7 +22,7 @@ use crate::analysis::interval::{
 };
 use crate::ast::{Builtin, Expr, FnDef, Stmt};
 use crate::sema::diag::{Diagnostic, Diagnostics, Severity};
-use crate::sema::types::{infer_interface, recursive_fns, Ty};
+use crate::sema::types::{infer_interface, recursive_fns, topo_order, Ty};
 use crate::sema::LintContext;
 use crate::span::{ExprSpans, Span, StmtSpans};
 
@@ -303,34 +303,9 @@ impl LintRule for Unbounded {
 /// function with no spec contributes unbounded parameters.
 fn check_loop_bounds(info: RuleInfo, cx: &LintContext<'_>, out: &mut Diagnostics) {
     let top = Interval::new(f64::NEG_INFINITY, f64::INFINITY);
-    // Callers-first order: reverse of the callees-first post-order implied
-    // by the call graph. Compute it the same way `types::topo_order` does.
-    let graph = cx.iface.call_graph();
-    let mut order: Vec<String> = Vec::new();
-    {
-        let mut state: BTreeMap<&str, u8> = BTreeMap::new();
-        fn po<'a>(
-            n: &'a str,
-            g: &'a BTreeMap<String, Vec<String>>,
-            state: &mut BTreeMap<&'a str, u8>,
-            out: &mut Vec<String>,
-        ) {
-            if state.contains_key(n) {
-                return;
-            }
-            state.insert(n, 1);
-            if let Some(cs) = g.get(n) {
-                for c in cs {
-                    po(c, g, state, out);
-                }
-            }
-            out.push(n.to_string());
-        }
-        for n in graph.keys() {
-            po(n, &graph, &mut state, &mut order);
-        }
-        order.reverse();
-    }
+    // Callers-first order: the reverse of the callees-first post-order.
+    let mut order = topo_order(cx.iface);
+    order.reverse();
     // Joined argument intervals observed at call sites, per callee.
     let mut incoming: BTreeMap<String, Vec<Option<Interval>>> = BTreeMap::new();
     for name in &order {

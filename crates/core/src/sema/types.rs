@@ -97,7 +97,7 @@ pub fn infer_interface(iface: &Interface) -> (BTreeMap<String, FnSig>, Diagnosti
 
 /// Function names in callees-first order (cycle members in DFS post-order,
 /// so their call sites see no signature and stay unconstrained).
-fn topo_order(iface: &Interface) -> Vec<String> {
+pub(crate) fn topo_order(iface: &Interface) -> Vec<String> {
     let graph = iface.call_graph();
     let mut order = Vec::new();
     let mut state: BTreeMap<&str, u8> = BTreeMap::new(); // 1 = on stack, 2 = done
