@@ -19,9 +19,11 @@
 //! instruction carries a static fuel weight in [`Chunk::fuel`]: the number
 //! of burns the interpreter would have performed since the previous
 //! instruction. Summing weights along any executed path reproduces the
-//! interpreter's burn count exactly — including for constant-folded
-//! subtrees, whose whole node count is charged as a lump on the folded
-//! `Const`.
+//! interpreter's burn count exactly. Burns that emit no instruction of
+//! their own ride as a lump on the next one: the statement burn, a loop's
+//! per-iteration burn, an operator's node burn (charged before its
+//! operands are lowered), and reads of definitely-written locals, which
+//! use the local's register directly.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -286,8 +286,11 @@ impl<'p> Vm<'p> {
     }
 
     /// Collects `regs[base+abase .. base+abase+n]` into the scratch
-    /// buffer and applies `f`. Argument slots are always written by the
-    /// lowering before the call instruction, so reads cannot fail.
+    /// buffer and applies `f`. Reads cannot fail: `compile` runs the
+    /// verifier on every program, and its must-defined check rejects any
+    /// call whose argument slot may be unwritten ("argument slot rN may be
+    /// undefined at the call", pinned by the `undefined-argument-slot`
+    /// entry of `testing::bad_chunk_corpus`).
     fn with_args<T>(
         &mut self,
         base: u32,

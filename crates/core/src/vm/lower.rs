@@ -1,27 +1,17 @@
 //! Lowering: type-checked EIL → register bytecode.
 //!
-//! One [`FnLower`] pass per function, driven by [`compile`]. The pass does
-//! three jobs at once:
+//! One [`FnLower`] pass per function, driven by [`compile`]. Each
+//! expression and statement has exactly one lowering: a literal becomes a
+//! `Const`, an `if` becomes a conditional jump over both arms, and a `for`
+//! loop becomes the `ForInit`/`ForTest`/`ForStep` triple, whatever their
+//! operands are.
 //!
-//! 1. **Register allocation.** Every named local (parameter, `let`/assign
-//!    target, `for` variable, and any referenced name) gets a fixed slot;
-//!    expression temporaries are bump-allocated above them and recycled per
-//!    statement. Reads of possibly-undefined names go through an eager
-//!    `Copy`/`CheckVar` so `Unresolved` errors fire at exactly the point the
-//!    tree-walk interpreter would raise them.
-//! 2. **Constant folding.** [`FnLower::try_fold`] evaluates
-//!    compile-time-known subtrees using the *interpreter's own*
-//!    `eval_unary`/`eval_binary`/`eval_builtin`, so a folded constant is
-//!    bit-identical to what the tree-walk would have produced, and the whole
-//!    subtree's fuel is charged as one lump on the folded `Const`.
-//!    Per-path constant state propagates through straight-line code and
-//!    joins at `if` merge points with bit-exact equality.
-//! 3. **Loop-bound specialization.** `for` loops whose bounds fold to
-//!    constants are unrolled when the interval analysis
-//!    ([`crate::analysis::interval`]) bounds the trip count under
-//!    [`UNROLL_MAX_TRIPS`] and the exact trip simulation stays within
-//!    [`UNROLL_BODY_BUDGET`]; otherwise they lower to the generic
-//!    `ForInit`/`ForTest`/`ForStep` triple.
+//! Register allocation: every named local (parameter, `let`/assign
+//! target, `for` variable, and any referenced name) gets a fixed slot;
+//! expression temporaries are bump-allocated above them and recycled per
+//! statement. Reads of possibly-undefined names go through an eager
+//! `Copy`/`CheckVar` so `Unresolved` errors fire at exactly the point the
+//! tree-walk interpreter would raise them.
 //!
 //! Fuel discipline: a `pending` counter accumulates the burns the
 //! interpreter would have performed and is attached to the next emitted
@@ -30,22 +20,13 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use crate::analysis::interval::Interval;
 use crate::ast::{BinOp, Builtin, Expr, FnDef, Stmt, UnOp};
 use crate::error::{Error, NameKind, Result};
 use crate::interface::Interface;
-use crate::interp;
 use crate::units::EnergyVec;
 use crate::value::Value;
 
 use super::chunk::{Chunk, Instr, Program};
-
-/// Maximum trip count a constant-bound `for` loop may have to be unrolled.
-pub const UNROLL_MAX_TRIPS: u64 = 64;
-
-/// Maximum `trips × body-node-count` product for unrolling, bounding the
-/// code-size blowup of loop specialization.
-pub const UNROLL_BODY_BUDGET: u64 = 2048;
 
 /// Compiles a type-checked interface to a register-bytecode [`Program`].
 ///
@@ -136,30 +117,10 @@ impl Interner {
     }
 }
 
-/// Per-path lowering state: which named registers are definitely written
-/// (`defined`, an under-approximation) and which hold compile-time-known
-/// constants (`known`, bit-exact).
-#[derive(Clone)]
-struct PathState {
-    defined: BTreeSet<u32>,
-    known: BTreeMap<u32, Value>,
-}
-
-impl PathState {
-    /// Control-flow join: intersection on both maps, with bit-exact value
-    /// agreement required to keep a constant.
-    fn join(&mut self, other: &PathState) {
-        self.defined.retain(|r| other.defined.contains(r));
-        self.known
-            .retain(|r, v| other.known.get(r).is_some_and(|o| bit_eq(v, o)));
-    }
-}
-
-/// Bit-exact value equality: distinguishes `0.0`/`-0.0`, treats identical
-/// NaNs as equal, and is sensitive to abstract-unit key presence — the same
-/// distinctions `Value: PartialEq` either blurs (NaN) or the fold must not
-/// blur (signed zero), since folded constants must be indistinguishable from
-/// interpreter-computed values.
+/// Bit-exact equality of literal values, for constant-pool dedup:
+/// distinguishes `0.0`/`-0.0`, treats identical NaNs as equal, and is
+/// sensitive to abstract-unit key presence — distinctions `Value:
+/// PartialEq` blurs, and a shared pool entry must not.
 fn bit_eq(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Num(x), Value::Num(y)) => x.to_bits() == y.to_bits(),
@@ -171,12 +132,6 @@ fn bit_eq(a: &Value, b: &Value) -> bool {
                     .iter()
                     .zip(&y.abstracts)
                     .all(|((ku, kv), (lu, lv))| ku == lu && kv.to_bits() == lv.to_bits())
-        }
-        (Value::Record(x), Value::Record(y)) => {
-            x.len() == y.len()
-                && x.iter()
-                    .zip(y)
-                    .all(|((kx, vx), (ky, vy))| kx == ky && bit_eq(vx, vy))
         }
         _ => false,
     }
@@ -203,7 +158,9 @@ struct FnLower<'a> {
     n_counters: u32,
 
     pending: u64,
-    state: PathState,
+    /// Named registers definitely written on every path to the current
+    /// point (an under-approximation; intersected at `if` merges).
+    defined: BTreeSet<u32>,
 }
 
 impl<'a> FnLower<'a> {
@@ -231,10 +188,7 @@ impl<'a> FnLower<'a> {
             max_reg: 0,
             n_counters: 0,
             pending: 0,
-            state: PathState {
-                defined: BTreeSet::new(),
-                known: BTreeMap::new(),
-            },
+            defined: BTreeSet::new(),
         };
         for p in &f.params {
             lower.name_reg(p);
@@ -246,7 +200,7 @@ impl<'a> FnLower<'a> {
             lower.name_reg(name);
         });
         for i in 0..f.params.len() as u32 {
-            lower.state.defined.insert(i);
+            lower.defined.insert(i);
         }
         lower.next_tmp = lower.n_named;
         lower.max_reg = lower.n_named;
@@ -266,10 +220,9 @@ impl<'a> FnLower<'a> {
 
     fn run(mut self) -> Result<Chunk> {
         let body: &'a [Stmt] = &self.f.body;
-        let terminated = self.block(body)?;
+        self.block(body)?;
         // Always terminate the stream: carries any trailing fuel when the
         // body can fall through, and backstops the executor's pc otherwise.
-        let _ = terminated;
         self.emit(Instr::FellOff);
         if self.max_reg > u32::MAX - 2 {
             return Err(Error::Analysis {
@@ -319,12 +272,16 @@ impl<'a> FnLower<'a> {
         }
     }
 
-    fn const_id(&mut self, v: Value) -> u32 {
-        if let Some(i) = self.consts.iter().position(|c| bit_eq(c, &v)) {
-            return i as u32;
-        }
-        self.consts.push(v);
-        (self.consts.len() - 1) as u32
+    /// Emits `dst = v`, sharing one pool entry per distinct literal.
+    fn load(&mut self, dst: u32, v: Value) {
+        let k = match self.consts.iter().position(|c| bit_eq(c, &v)) {
+            Some(i) => i as u32,
+            None => {
+                self.consts.push(v);
+                (self.consts.len() - 1) as u32
+            }
+        };
+        self.emit(Instr::Const { dst, k });
     }
 
     fn trap_id(&mut self, e: Error) -> u32 {
@@ -342,88 +299,6 @@ impl<'a> FnLower<'a> {
         r
     }
 
-    // -- constant folding ---------------------------------------------------
-
-    /// Evaluates `e` at compile time if every input is known, returning the
-    /// folded value and the exact number of fuel burns the interpreter
-    /// would have spent on the subtree. Any interpreter error aborts the
-    /// fold (the subtree lowers normally and errors at runtime instead).
-    fn try_fold(&self, e: &Expr) -> Option<(Value, u64)> {
-        match e {
-            Expr::Num(n) => Some((Value::Num(*n), 1)),
-            Expr::Bool(b) => Some((Value::Bool(*b), 1)),
-            Expr::Joules(j) => Some((Value::joules(*j), 1)),
-            Expr::Unit(u, k) => Some((Value::Energy(EnergyVec::from_unit(u.clone(), *k)), 1)),
-            Expr::Var(name) => {
-                let r = self.named.get(name.as_str())?;
-                self.state.known.get(r).map(|v| (v.clone(), 1))
-            }
-            Expr::Field(base, name) => {
-                let (b, cb) = self.try_fold(base)?;
-                let v = b.field(name).ok()?.clone();
-                Some((v, 1 + cb))
-            }
-            Expr::Ecv(_) => None,
-            Expr::Unary(op, inner) => {
-                let (v, c) = self.try_fold(inner)?;
-                let r = interp::eval_unary(*op, &v).ok()?;
-                Some((r, 1 + c))
-            }
-            Expr::Binary(BinOp::And, a, b) => {
-                let (av, ca) = self.try_fold(a)?;
-                match av {
-                    Value::Bool(false) => Some((Value::Bool(false), 1 + ca)),
-                    Value::Bool(true) => {
-                        let (bv, cb) = self.try_fold(b)?;
-                        let r = bv.as_bool().ok()?;
-                        Some((Value::Bool(r), 1 + ca + cb))
-                    }
-                    _ => None,
-                }
-            }
-            Expr::Binary(BinOp::Or, a, b) => {
-                let (av, ca) = self.try_fold(a)?;
-                match av {
-                    Value::Bool(true) => Some((Value::Bool(true), 1 + ca)),
-                    Value::Bool(false) => {
-                        let (bv, cb) = self.try_fold(b)?;
-                        let r = bv.as_bool().ok()?;
-                        Some((Value::Bool(r), 1 + ca + cb))
-                    }
-                    _ => None,
-                }
-            }
-            Expr::Binary(op, a, b) => {
-                let (av, ca) = self.try_fold(a)?;
-                let (bv, cb) = self.try_fold(b)?;
-                let r = interp::eval_binary(*op, &av, &bv).ok()?;
-                Some((r, 1 + ca + cb))
-            }
-            Expr::Call(_, _) => None,
-            Expr::BuiltinCall(b, args) => {
-                let mut vals = Vec::with_capacity(args.len());
-                let mut cost = 1u64;
-                for a in args {
-                    let (v, c) = self.try_fold(a)?;
-                    vals.push(v);
-                    cost += c;
-                }
-                let r = interp::eval_builtin(*b, &vals).ok()?;
-                Some((r, cost))
-            }
-            Expr::IfExpr(c, t, f) => {
-                let (cv, cc) = self.try_fold(c)?;
-                let taken = match cv {
-                    Value::Bool(true) => t,
-                    Value::Bool(false) => f,
-                    _ => return None,
-                };
-                let (v, ct) = self.try_fold(taken)?;
-                Some((v, 1 + cc + ct))
-            }
-        }
-    }
-
     // -- expression lowering ------------------------------------------------
 
     /// Lowers `e` into a register, preferring a direct read of a named
@@ -431,7 +306,7 @@ impl<'a> FnLower<'a> {
     fn operand(&mut self, e: &'a Expr) -> Result<u32> {
         if let Expr::Var(name) = e {
             let r = self.named[name.as_str()];
-            if self.state.defined.contains(&r) {
+            if self.defined.contains(&r) {
                 self.charge(1);
                 return Ok(r);
             }
@@ -442,22 +317,14 @@ impl<'a> FnLower<'a> {
     }
 
     /// Lowers `e` so its value lands in `dst`. `dst` is written exactly
-    /// once, as the final action on every executed path. Returns the folded
-    /// value when the whole expression was constant.
-    fn expr(&mut self, e: &'a Expr, dst: u32) -> Result<Option<Value>> {
-        if let Some((v, cost)) = self.try_fold(e) {
-            self.charge(cost);
-            let k = self.const_id(v.clone());
-            self.emit(Instr::Const { dst, k });
-            return Ok(Some(v));
-        }
+    /// once, as the final action on every executed path.
+    fn expr(&mut self, e: &'a Expr, dst: u32) -> Result<()> {
         self.charge(1);
         match e {
-            // Literals always fold; reaching here means try_fold declined,
-            // which cannot happen for these shapes.
-            Expr::Num(_) | Expr::Bool(_) | Expr::Joules(_) | Expr::Unit(_, _) => {
-                unreachable!("literals fold")
-            }
+            Expr::Num(n) => self.load(dst, Value::Num(*n)),
+            Expr::Bool(b) => self.load(dst, Value::Bool(*b)),
+            Expr::Joules(j) => self.load(dst, Value::joules(*j)),
+            Expr::Unit(u, k) => self.load(dst, Value::Energy(EnergyVec::from_unit(u.clone(), *k))),
             Expr::Var(name) => {
                 // Copy performs the definedness check at the read point,
                 // exactly where the interpreter raises `Unresolved`.
@@ -551,15 +418,12 @@ impl<'a> FnLower<'a> {
                 self.patch(jend, here);
             }
         }
-        Ok(None)
+        Ok(())
     }
 
     /// Short-circuit `&&`/`||` with the interpreter's exact burn and error
     /// order: evaluate lhs, coerce to bool, maybe skip rhs entirely.
     fn lower_logic(&mut self, op: BinOp, a: &'a Expr, b: &'a Expr, dst: u32) -> Result<()> {
-        // Decisive constant lhs folds are handled by try_fold; a constant
-        // *non-decisive* lhs (true for &&, false for ||) still reaches here
-        // when the rhs is dynamic.
         let ra = self.operand(a)?;
         let jshort = match op {
             BinOp::And => self.emit(Instr::JumpIfFalse {
@@ -577,8 +441,7 @@ impl<'a> FnLower<'a> {
         let jend = self.emit(Instr::Jump { target: 0 });
         let here = self.here();
         self.patch(jshort, here);
-        let k = self.const_id(Value::Bool(op == BinOp::Or));
-        self.emit(Instr::Const { dst, k });
+        self.load(dst, Value::Bool(op == BinOp::Or));
         let here = self.here();
         self.patch(jend, here);
         Ok(())
@@ -621,35 +484,19 @@ impl<'a> FnLower<'a> {
         match s {
             Stmt::Let(name, e) => {
                 let r = self.named[name.as_str()];
-                let folded = self.expr(e, r)?;
-                self.state.defined.insert(r);
-                match folded {
-                    Some(v) => {
-                        self.state.known.insert(r, v);
-                    }
-                    None => {
-                        self.state.known.remove(&r);
-                    }
-                }
+                self.expr(e, r)?;
+                self.defined.insert(r);
                 Ok(false)
             }
             Stmt::Assign(name, e) => {
                 let r = self.named[name.as_str()];
-                if !self.state.defined.contains(&r) {
+                if !self.defined.contains(&r) {
                     // The interpreter checks the target exists before
                     // evaluating the right-hand side.
                     self.emit(Instr::CheckVar { src: r });
-                    self.state.defined.insert(r);
+                    self.defined.insert(r);
                 }
-                let folded = self.expr(e, r)?;
-                match folded {
-                    Some(v) => {
-                        self.state.known.insert(r, v);
-                    }
-                    None => {
-                        self.state.known.remove(&r);
-                    }
-                }
+                self.expr(e, r)?;
                 Ok(false)
             }
             Stmt::If(cond, then_b, else_b) => self.lower_if(cond, then_b, else_b),
@@ -669,20 +516,14 @@ impl<'a> FnLower<'a> {
     }
 
     fn lower_if(&mut self, cond: &'a Expr, then_b: &'a [Stmt], else_b: &'a [Stmt]) -> Result<bool> {
-        // Branch specialization: a constant boolean condition lowers only
-        // the taken arm (the interpreter never burns the other one).
-        if let Some((Value::Bool(c), cost)) = self.try_fold(cond) {
-            self.charge(cost);
-            return self.block(if c { then_b } else { else_b });
-        }
         let creg = self.operand(cond)?;
         let jf = self.emit(Instr::JumpIfFalse {
             cond: creg,
             target: 0,
         });
-        let pre = self.state.clone();
+        let pre = self.defined.clone();
         let t_term = self.block(then_b)?;
-        let t_state = std::mem::replace(&mut self.state, pre);
+        let t_defined = std::mem::replace(&mut self.defined, pre);
         let jend = if t_term {
             None
         } else {
@@ -702,13 +543,13 @@ impl<'a> FnLower<'a> {
         }
         match (t_term, e_term) {
             (true, true) => Ok(true),
-            (true, false) => Ok(false), // state is the else-path state
+            (true, false) => Ok(false), // `defined` is the else path's
             (false, true) => {
-                self.state = t_state;
+                self.defined = t_defined;
                 Ok(false)
             }
             (false, false) => {
-                self.state.join(&t_state);
+                self.defined.retain(|r| t_defined.contains(r));
                 Ok(false)
             }
         }
@@ -722,14 +563,6 @@ impl<'a> FnLower<'a> {
         body: &'a [Stmt],
     ) -> Result<bool> {
         let var_reg = self.named[var];
-
-        // Loop-bound specialization: both bounds constant-fold to finite
-        // numbers, the interval analysis admits a small trip count, and the
-        // unrolled body fits the code-size budget.
-        if let Some(plan) = self.unroll_plan(from, to, body) {
-            return self.unroll_for(var_reg, plan, body);
-        }
-
         let from_reg = self.operand(from)?;
         // `from` must be numeric before `to` is even evaluated.
         self.emit(Instr::CheckNum { src: from_reg });
@@ -742,10 +575,8 @@ impl<'a> FnLower<'a> {
             to: to_reg,
         });
 
-        let pre = self.state.clone();
-        clear_assigned(&mut self.state.known, body, &self.named);
-        self.state.known.remove(&var_reg);
-        self.state.defined.insert(var_reg);
+        let pre = self.defined.clone();
+        self.defined.insert(var_reg);
 
         let head = self.here() as usize;
         let test = self.emit(Instr::ForTest {
@@ -765,70 +596,8 @@ impl<'a> FnLower<'a> {
         let here = self.here();
         self.patch(test, here);
 
-        // After the loop: zero trips are possible, so restore the entry
-        // state minus everything the loop can touch.
-        self.state = pre;
-        clear_assigned(&mut self.state.known, body, &self.named);
-        self.state.known.remove(&var_reg);
-        Ok(false)
-    }
-
-    /// Exact trip simulation for a constant-bound `for`, mirroring the
-    /// interpreter's `i = from.floor(); while i < to; i += 1.0` loop.
-    fn unroll_plan(&self, from: &Expr, to: &Expr, body: &[Stmt]) -> Option<UnrollPlan> {
-        let (fv, from_cost) = self.try_fold(from)?;
-        let (tv, to_cost) = self.try_fold(to)?;
-        let (Value::Num(from_n), Value::Num(to_n)) = (fv, tv) else {
-            return None;
-        };
-        if !from_n.is_finite() || !to_n.is_finite() {
-            return None;
-        }
-        // Interval pre-check (the sema interval analysis): reject huge
-        // ranges before simulating them step by step.
-        let trips_iv = Interval::point(to_n).sub(&Interval::point(from_n.floor()));
-        // A NaN upper bound (from interval arithmetic over inf - inf)
-        // must also bail out, not just a provably huge one.
-        if trips_iv.hi.is_nan() || trips_iv.hi > UNROLL_MAX_TRIPS as f64 + 1.0 {
-            return None;
-        }
-        let body_cost = body.iter().map(stmt_size).sum::<u64>().max(1);
-        let mut iters = Vec::new();
-        let mut i = from_n.floor();
-        while i < to_n {
-            iters.push(i);
-            if iters.len() as u64 > UNROLL_MAX_TRIPS
-                || iters.len() as u64 * body_cost > UNROLL_BODY_BUDGET
-            {
-                return None;
-            }
-            i += 1.0;
-        }
-        Some(UnrollPlan {
-            bounds_cost: from_cost + to_cost,
-            iters,
-        })
-    }
-
-    fn unroll_for(&mut self, var_reg: u32, plan: UnrollPlan, body: &'a [Stmt]) -> Result<bool> {
-        // Statement burn (already charged by stmt()) plus both bound
-        // evaluations, as a lump.
-        self.charge(plan.bounds_cost);
-        for i in plan.iters {
-            self.charge(1); // per-iteration burn
-            let k = self.const_id(Value::Num(i));
-            self.emit(Instr::Const { dst: var_reg, k });
-            self.state.defined.insert(var_reg);
-            self.state.known.insert(var_reg, Value::Num(i));
-            let save = self.next_tmp;
-            let terminated = self.block(body)?;
-            self.next_tmp = save;
-            if terminated {
-                // The first iteration that returns ends the function; the
-                // interpreter never reaches later iterations.
-                return Ok(true);
-            }
-        }
+        // After the loop: zero trips are possible, so restore the entry set.
+        self.defined = pre;
         Ok(false)
     }
 
@@ -839,9 +608,7 @@ impl<'a> FnLower<'a> {
         // pending (the statement burn) lands here, outside the loop.
         self.emit(Instr::ResetTrips { c });
 
-        let pre = self.state.clone();
-        clear_assigned(&mut self.state.known, body, &self.named);
-
+        let pre = self.defined.clone();
         let head = self.here();
         let creg = self.operand(cond)?;
         let jf = self.emit(Instr::JumpIfFalse {
@@ -857,15 +624,9 @@ impl<'a> FnLower<'a> {
         let here = self.here();
         self.patch(jf, here);
 
-        self.state = pre;
-        clear_assigned(&mut self.state.known, body, &self.named);
+        self.defined = pre;
         Ok(false)
     }
-}
-
-struct UnrollPlan {
-    bounds_cost: u64,
-    iters: Vec<f64>,
 }
 
 /// Collects every name a statement list binds or reads, in pre-order.
@@ -904,55 +665,6 @@ fn collect_names(stmts: &[Stmt], f: &mut impl FnMut(&str)) {
                 collect_names(body, f);
             }
             Stmt::Return(e) => expr_names(e, f),
-        }
-    }
-}
-
-/// Drops constant knowledge for every register a loop body can write
-/// (`let`/assign targets and `for` variables, at any nesting depth).
-fn clear_assigned(known: &mut BTreeMap<u32, Value>, body: &[Stmt], named: &HashMap<String, u32>) {
-    for s in body {
-        match s {
-            Stmt::Let(name, _) | Stmt::Assign(name, _) => {
-                if let Some(r) = named.get(name.as_str()) {
-                    known.remove(r);
-                }
-            }
-            Stmt::If(_, t, e) => {
-                clear_assigned(known, t, named);
-                clear_assigned(known, e, named);
-            }
-            Stmt::For { var, body, .. } => {
-                if let Some(r) = named.get(var.as_str()) {
-                    known.remove(r);
-                }
-                clear_assigned(known, body, named);
-            }
-            Stmt::While { body, .. } => clear_assigned(known, body, named),
-            Stmt::Return(_) => {}
-        }
-    }
-}
-
-/// Approximate AST node count of a statement, for the unroll budget.
-fn stmt_size(s: &Stmt) -> u64 {
-    fn expr_size(e: &Expr) -> u64 {
-        let mut n = 0u64;
-        e.visit(&mut |_| n += 1);
-        n
-    }
-    match s {
-        Stmt::Let(_, e) | Stmt::Assign(_, e) | Stmt::Return(e) => 1 + expr_size(e),
-        Stmt::If(c, t, e) => {
-            1 + expr_size(c)
-                + t.iter().map(stmt_size).sum::<u64>()
-                + e.iter().map(stmt_size).sum::<u64>()
-        }
-        Stmt::For { from, to, body, .. } => {
-            1 + expr_size(from) + expr_size(to) + body.iter().map(stmt_size).sum::<u64>()
-        }
-        Stmt::While { cond, body, .. } => {
-            1 + expr_size(cond) + body.iter().map(stmt_size).sum::<u64>()
         }
     }
 }

@@ -5,8 +5,8 @@
 //! byte-for-byte under `tests/golden/vm/`. The disassembly includes the
 //! program fingerprint, constant pools, traps, and per-instruction fuel
 //! weights, so *any* codegen change — reordered registers, a different
-//! const-folding decision, a changed fuel accounting — surfaces as a
-//! reviewable textual diff rather than a silent behaviour shift.
+//! lowering, a changed fuel accounting — surfaces as a reviewable textual
+//! diff rather than a silent behaviour shift.
 //!
 //! To regenerate after an intentional codegen change:
 //!
@@ -22,14 +22,14 @@ use ei_bench::golden::assert_text;
 use ei_core::interp::{eval_with_assignment, EvalConfig, ExecMode};
 use ei_core::value::Value;
 
-/// A compiler-stress interface: const-foldable loop bounds (unrolled),
-/// dynamic loop bounds (generic codegen), a bounded while, short-circuit
-/// logic, recursion, and cross-function calls.
+/// A compiler-stress interface: literal and dynamic loop bounds (both
+/// lower to the same `for` triple), a bounded while, short-circuit logic,
+/// recursion, and cross-function calls.
 const LOOPS_SRC: &str = r#"
-interface loops "codegen stress: unrolling, guards, recursion" {
+interface loops "codegen stress: loop bounds, guards, recursion" {
     unit tick;
     ecv fast_path: bernoulli(0.5);
-    fn unrolled() {
+    fn unit_loop() {
         let e = 0 J;
         for i in 0..4 {
             e = e + 3 uJ + 1 tick;
@@ -56,7 +56,7 @@ interface loops "codegen stress: unrolling, guards, recursion" {
     }
     fn top(n) {
         if fast_path && n < 100 {
-            return unrolled() * min(fact(4), 30);
+            return unit_loop() * min(fact(4), 30);
         } else {
             return dynamic(n) + guarded(0);
         }
