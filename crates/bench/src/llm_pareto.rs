@@ -13,8 +13,8 @@
 //!    lockstep serve, and the Pareto frontier + SLO-optimal operating
 //!    point are derived from these predictions alone.
 //! 2. **Simulator side** — the continuous-batching engine
-//!    ([`ei_llm::Gpt2BatchEngine`]) actually serves the same workload on
-//!    the simulated, DVFS-clocked GPU, kernel by kernel.
+//!    ([`ei_llm::Gpt2Engine`]) actually serves the same workload on the
+//!    simulated, DVFS-clocked GPU, kernel by kernel.
 //!
 //! Every swept point must validate within 5% relative error on J/token
 //! and on p50/p99 token latency — the frontier is trustworthy only if the
@@ -34,8 +34,8 @@ use ei_extract::microbench::{fit_dvfs_scale, fit_gpu_model};
 use ei_hw::gpu::{rtx4090, GpuSim};
 use ei_hw::meter::MeterConfig;
 use ei_llm::{
-    gpt2_batch_interface, gpt2_medium, gpt2_small, BatchConfig, BatchRequest, Gpt2BatchEngine,
-    Gpt2Config,
+    gpt2_batch_interface, gpt2_medium, gpt2_small, BatchConfig, BatchRequest, Gpt2Config,
+    Gpt2Engine,
 };
 use serde::Serialize;
 
@@ -227,7 +227,7 @@ fn serve_point(
         "swept fraction must land on the clock ladder"
     );
     let bc = BatchConfig::for_batch(model.clone(), batch as usize, cfg.prompt_len + cfg.gen_len);
-    let mut engine = Gpt2BatchEngine::new(bc, gpu).expect("model fits in VRAM");
+    let mut engine = Gpt2Engine::new(bc, gpu).expect("model fits in VRAM");
     let req = BatchRequest {
         prompt_len: cfg.prompt_len,
         gen_len: cfg.gen_len,

@@ -21,7 +21,7 @@ use ei_core::value::Value;
 use ei_extract::microbench::fit_gpu_model;
 use ei_hw::gpu::{rtx3070, rtx4090, GpuConfig, GpuSim};
 use ei_hw::meter::{MeterConfig, PowerMeter};
-use ei_llm::{gpt2_interface, gpt2_small, Gpt2Engine};
+use ei_llm::{gpt2_interface, gpt2_small, BatchConfig, Gpt2Engine};
 use serde::Serialize;
 
 /// One measurement point of the sweep.
@@ -92,7 +92,9 @@ pub fn predict_batch(linked: &Interface, points: &[(u64, u64)]) -> Vec<Energy> {
 /// so the run is repeated until it spans several counter updates and the
 /// average is reported — exactly what a real measurement script does.
 pub fn measure(gpu: &GpuConfig, prompt: u64, gen: u64) -> Energy {
-    let mut engine = Gpt2Engine::new(gpt2_small(), GpuSim::new(gpu.clone())).expect("model fits");
+    let model = gpt2_small();
+    let cfg = BatchConfig::for_batch(model.clone(), 1, model.max_seq);
+    let mut engine = Gpt2Engine::new(cfg, GpuSim::new(gpu.clone())).expect("model fits");
     let meter = PowerMeter::new(MeterConfig::nvml());
     let min_span = MeterConfig::nvml().update_period.as_seconds() * 5.0;
     let before = meter.read(engine.gpu().energy(), engine.gpu().counters().elapsed);

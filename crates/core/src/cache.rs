@@ -5,9 +5,9 @@
 //! the same `(app shape, node type)` pair for every pod, Table 1 sweeps a
 //! grid over one fitted interface. [`EvalCache`] memoizes both layers:
 //!
-//! - **Linking** ([`EvalCache::link_cached`], [`EvalCache::link_closure_cached`]):
-//!   composed interfaces are cached behind [`Arc`] so repeated composition of
-//!   the same upper/provider set returns the already-linked interface.
+//! - **Linking** ([`EvalCache::link_cached`]): composed interfaces are
+//!   cached behind [`Arc`] so repeated composition of the same
+//!   upper/provider set returns the already-linked interface.
 //! - **Energy queries** ([`EvalCache::evaluate_energy_cached`],
 //!   [`EvalCache::expected_energy_cached`]): concrete Joule answers are
 //!   cached per `(interface, function, arguments, environment, config)` key.
@@ -48,7 +48,7 @@ use ei_telemetry as telemetry;
 use telemetry::SpanKind;
 
 use crate::ast::{Expr, ExternDecl, FnDef, Stmt};
-use crate::compose::{link, link_closure, Registry};
+use crate::compose::link;
 use crate::ecv::{DistSpec, EcvDecl, EcvEnv, EcvValue};
 use crate::error::Result;
 use crate::interface::{FeatureRange, InputSpec, Interface};
@@ -496,32 +496,6 @@ impl EvalCache {
         }
         self.miss();
         let linked = Arc::new(link(upper, providers)?);
-        self.links.lock().insert(key, Arc::clone(&linked));
-        Ok(linked)
-    }
-
-    /// Memoized [`link_closure`]: like [`EvalCache::link_cached`] but
-    /// resolving transitively against a [`Registry`].
-    pub fn link_closure_cached(
-        &self,
-        upper: &Interface,
-        registry: &Registry,
-    ) -> Result<Arc<Interface>> {
-        let mut h = Mixer::new();
-        h.word(21);
-        h.word(fingerprint_interface(upper));
-        h.len(registry.len());
-        for p in registry.iter() {
-            h.word(fingerprint_interface(p));
-        }
-        let key = h.finish();
-
-        if let Some(found) = self.links.lock().get(&key) {
-            self.hit();
-            return Ok(Arc::clone(found));
-        }
-        self.miss();
-        let linked = Arc::new(link_closure(upper, registry)?);
         self.links.lock().insert(key, Arc::clone(&linked));
         Ok(linked)
     }

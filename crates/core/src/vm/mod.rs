@@ -46,10 +46,9 @@ pub use verify::{render_errors, verify, VerifyError};
 
 /// Ill-formed bytecode fixtures for verifier testing. Programs cannot be
 /// constructed outside this crate ([`Program`] is non-exhaustive), so the
-/// corpus is built here and consumed by both the unit tests below and the
-/// `cert_gate` CI binary.
-#[doc(hidden)]
-pub mod testing {
+/// corpus is built here, beside the unit tests that consume it.
+#[cfg(test)]
+mod testing {
     use std::collections::BTreeSet;
 
     use crate::ast::BinOp;
@@ -798,7 +797,9 @@ mod tests {
 
     #[test]
     fn verifier_rejects_the_bad_chunk_corpus_with_stable_diagnostics() {
-        for bad in testing::bad_chunk_corpus() {
+        let corpus = testing::bad_chunk_corpus();
+        assert!(corpus.len() >= 15, "corpus shrank to {}", corpus.len());
+        for bad in corpus {
             let errs = verify(&bad.program)
                 .expect_err(&format!("corpus entry `{}` must be rejected", bad.name));
             assert_eq!(

@@ -219,7 +219,7 @@ pub fn gpt2_batch_interface(c: &Gpt2Config) -> Interface {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{BatchConfig, BatchRequest, Gpt2BatchEngine};
+    use crate::engine::{BatchConfig, BatchRequest, Gpt2Engine};
     use crate::model::{gpt2_medium, gpt2_small};
     use ei_core::compose::link;
     use ei_core::ecv::EcvEnv;
@@ -285,7 +285,7 @@ mod tests {
         .unwrap()
         .as_joules();
         let cfg = BatchConfig::for_batch(gpt2_small(), batch as usize, p + g);
-        let mut engine = Gpt2BatchEngine::new(cfg, GpuSim::new(rtx4090())).unwrap();
+        let mut engine = Gpt2Engine::new(cfg, GpuSim::new(rtx4090())).unwrap();
         let truth = engine
             .run(&vec![
                 BatchRequest {
@@ -320,7 +320,7 @@ mod tests {
         .unwrap()
         .as_joules();
         let cfg = BatchConfig::for_batch(gpt2_small(), batch as usize, p + g);
-        let mut engine = Gpt2BatchEngine::new(cfg, GpuSim::new(rtx4090())).unwrap();
+        let mut engine = Gpt2Engine::new(cfg, GpuSim::new(rtx4090())).unwrap();
         let truth_s = engine
             .run(&vec![
                 BatchRequest {

@@ -140,7 +140,7 @@ pub fn gpt2_interface(c: &Gpt2Config) -> Interface {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Gpt2Engine;
+    use crate::engine::{BatchConfig, Gpt2Engine};
     use crate::model::{gpt2_medium, gpt2_small};
     use ei_core::compose::link;
     use ei_core::ecv::EcvEnv;
@@ -170,7 +170,9 @@ mod tests {
     }
 
     fn truth(gpu: GpuConfig, prompt: u64, gen: u64) -> f64 {
-        let mut engine = Gpt2Engine::new(gpt2_small(), GpuSim::new(gpu)).unwrap();
+        let model = gpt2_small();
+        let cfg = BatchConfig::for_batch(model.clone(), 1, model.max_seq);
+        let mut engine = Gpt2Engine::new(cfg, GpuSim::new(gpu)).unwrap();
         engine.generate(prompt, gen).energy.as_joules()
     }
 

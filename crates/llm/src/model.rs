@@ -96,11 +96,6 @@ impl Gpt2Config {
         2 * self.d_model * self.dtype_bytes
     }
 
-    /// KV-cache buffer bytes for one layer at max sequence length.
-    pub fn kv_layer_buffer_bytes(&self) -> u64 {
-        self.max_seq * self.kv_bytes_per_token_layer()
-    }
-
     /// Activation-buffer bytes needed for a step over `tokens` rows: the
     /// resident hidden states (`tokens × d_model`) plus the widest matmul
     /// output written behind them (`tokens × d_ff`, the fc1 expansion).

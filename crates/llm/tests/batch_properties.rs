@@ -1,12 +1,12 @@
 //! Property tests of the continuous-batching engine (E12 ground truth).
 
 use ei_hw::gpu::{rtx4090, GpuSim};
-use ei_llm::{gpt2_small, BatchConfig, BatchRequest, Gpt2BatchEngine, Gpt2Engine};
+use ei_llm::{gpt2_small, BatchConfig, BatchRequest, Gpt2Engine};
 use proptest::prelude::*;
 
-fn engine(max_batch: usize, seq_tokens: u64) -> Gpt2BatchEngine {
+fn engine(max_batch: usize, seq_tokens: u64) -> Gpt2Engine {
     let cfg = BatchConfig::for_batch(gpt2_small(), max_batch, seq_tokens);
-    Gpt2BatchEngine::new(cfg, GpuSim::new(rtx4090())).expect("model fits in VRAM")
+    Gpt2Engine::new(cfg, GpuSim::new(rtx4090())).expect("model fits in VRAM")
 }
 
 /// An arbitrary request: sometimes degenerate or oversized on purpose, so
@@ -37,12 +37,12 @@ proptest! {
         prop_assert_eq!(a.steps, b.steps);
     }
 
-    /// A batch engine capped at one sequence is the single-stream engine:
-    /// same energy bits and same device counters for any valid request.
+    /// Serving one request through the batch loop is single-stream
+    /// generation: same energy bits and same device counters for any
+    /// valid request.
     #[test]
     fn batch_of_one_equals_single_stream(prompt in 1u64..48, gen in 1u64..24) {
-        let mut single = Gpt2Engine::new(gpt2_small(), GpuSim::new(rtx4090())).unwrap();
-        let rs = single.generate(prompt, gen);
+        let rs = engine(1, 1024).generate(prompt, gen);
         let rb = engine(1, 1024).run(&[BatchRequest {
             prompt_len: prompt,
             gen_len: gen,

@@ -4,10 +4,18 @@ use ei_core::compose::link;
 use ei_core::ecv::EcvEnv;
 use ei_core::interp::{evaluate_energy, EvalConfig};
 use ei_core::value::Value;
-use ei_hw::gpu::{rtx3070, rtx4090, GpuSim};
+use ei_hw::gpu::{rtx3070, rtx4090, GpuConfig, GpuSim};
 use ei_hw::interfaces::gpu_interface;
-use ei_llm::{gpt2_interface, gpt2_medium, gpt2_small, Gpt2Engine};
+use ei_llm::{gpt2_interface, gpt2_medium, gpt2_small, BatchConfig, Gpt2Config, Gpt2Engine};
 use proptest::prelude::*;
+
+/// `model` on a fresh device, serving one stream over its whole context
+/// window.
+fn single_stream(model: Gpt2Config, gpu: GpuConfig) -> Gpt2Engine {
+    let max_seq = model.max_seq;
+    Gpt2Engine::new(BatchConfig::for_batch(model, 1, max_seq), GpuSim::new(gpu))
+        .expect("model fits in VRAM")
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -16,7 +24,7 @@ proptest! {
     /// non-decreasing per token (the KV cache only grows).
     #[test]
     fn per_token_energy_is_increasing(prompt in 4u64..48, gen in 3u64..20) {
-        let mut engine = Gpt2Engine::new(gpt2_small(), GpuSim::new(rtx4090())).unwrap();
+        let mut engine = single_stream(gpt2_small(), rtx4090());
         let r = engine.generate(prompt, gen);
         for w in r.energy_per_token.windows(2) {
             prop_assert!(w[1] > w[0]);
@@ -52,11 +60,11 @@ proptest! {
 #[test]
 fn medium_model_costs_more_than_small() {
     let small = {
-        let mut e = Gpt2Engine::new(gpt2_small(), GpuSim::new(rtx4090())).unwrap();
+        let mut e = single_stream(gpt2_small(), rtx4090());
         e.generate(16, 10).energy
     };
     let medium = {
-        let mut e = Gpt2Engine::new(gpt2_medium(), GpuSim::new(rtx4090())).unwrap();
+        let mut e = single_stream(gpt2_medium(), rtx4090());
         e.generate(16, 10).energy
     };
     // 355M params vs 124M: roughly 3x the weight traffic.
@@ -83,7 +91,7 @@ fn interface_scales_to_medium_model() {
         &cfg,
     )
     .unwrap();
-    let mut engine = Gpt2Engine::new(gpt2_medium(), GpuSim::new(gpu)).unwrap();
+    let mut engine = single_stream(gpt2_medium(), gpu);
     let truth = engine.generate(16, 20).energy;
     let rel = predicted.relative_error(truth);
     assert!(rel < 0.05, "medium-model prediction off by {rel}");
@@ -93,8 +101,8 @@ fn interface_scales_to_medium_model() {
 fn decode_step_cost_grows_faster_on_small_l2() {
     // As the context grows, the 3070's decode steps get relatively more
     // expensive than the 4090's (KV spill + stronger droop).
-    let slope = |cfg: ei_hw::gpu::GpuConfig| {
-        let mut e = Gpt2Engine::new(gpt2_small(), GpuSim::new(cfg)).unwrap();
+    let slope = |cfg: GpuConfig| {
+        let mut e = single_stream(gpt2_small(), cfg);
         let r = e.generate(64, 120);
         let per: Vec<f64> = r
             .energy_per_token
@@ -118,7 +126,7 @@ fn cache_flush_between_requests_costs_energy() {
     // Context switches (cache flushes) show up as extra VRAM traffic in
     // the next run — the kind of cross-module effect §6 worries about.
     let run = |flush: bool| {
-        let mut e = Gpt2Engine::new(gpt2_small(), GpuSim::new(rtx4090())).unwrap();
+        let mut e = single_stream(gpt2_small(), rtx4090());
         e.generate(16, 8);
         if flush {
             e.gpu_mut().flush_caches();

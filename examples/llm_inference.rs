@@ -13,7 +13,7 @@ use energy_clarity::core::value::Value;
 use energy_clarity::extract::microbench::fit_gpu_model;
 use energy_clarity::hw::gpu::{rtx3070, rtx4090, GpuSim};
 use energy_clarity::hw::meter::{MeterConfig, PowerMeter};
-use energy_clarity::llm::{gpt2_interface, gpt2_small, Gpt2Engine};
+use energy_clarity::llm::{gpt2_interface, gpt2_small, BatchConfig, Gpt2Engine};
 
 fn main() {
     for gpu in [rtx4090(), rtx3070()] {
@@ -48,7 +48,9 @@ fn main() {
         .unwrap();
 
         // 4. ...and measure the real thing with the same coarse meter.
-        let mut engine = Gpt2Engine::new(gpt2_small(), GpuSim::new(gpu)).unwrap();
+        let model = gpt2_small();
+        let single = BatchConfig::for_batch(model.clone(), 1, model.max_seq);
+        let mut engine = Gpt2Engine::new(single, GpuSim::new(gpu)).unwrap();
         let meter = PowerMeter::new(MeterConfig::nvml());
         let before = meter.read(engine.gpu().energy(), engine.gpu().counters().elapsed);
         let report = engine.generate(prompt, gen);

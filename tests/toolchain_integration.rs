@@ -14,7 +14,14 @@ use energy_clarity::extract::microbench::fit_gpu_model;
 use energy_clarity::extract::trace::{derive_interface, Tracer};
 use energy_clarity::hw::gpu::{rtx3070, rtx4090, GpuSim};
 use energy_clarity::hw::meter::MeterConfig;
-use energy_clarity::llm::{gpt2_interface, gpt2_small, Gpt2Engine};
+use energy_clarity::llm::{gpt2_interface, gpt2_small, BatchConfig, Gpt2Engine};
+
+/// GPT-2 small serving one stream over its whole context window.
+fn single_stream() -> BatchConfig {
+    let model = gpt2_small();
+    let max_seq = model.max_seq;
+    BatchConfig::for_batch(model, 1, max_seq)
+}
 
 /// The Table 1 pipeline at reduced size: fit → link → predict → compare.
 #[test]
@@ -35,7 +42,7 @@ fn fitted_interface_predicts_generation_within_ten_percent() {
             &cfg,
         )
         .unwrap();
-        let mut engine = Gpt2Engine::new(gpt2_small(), GpuSim::new(gpu.clone())).unwrap();
+        let mut engine = Gpt2Engine::new(single_stream(), GpuSim::new(gpu.clone())).unwrap();
         let truth = engine.generate(16, 40).energy;
         let rel = predicted.relative_error(truth);
         assert!(rel < 0.10, "{}: error {rel}", gpu.name);
@@ -61,7 +68,7 @@ fn prediction_error_ordering_matches_table1() {
             &cfg,
         )
         .unwrap();
-        let mut engine = Gpt2Engine::new(gpt2_small(), GpuSim::new(gpu)).unwrap();
+        let mut engine = Gpt2Engine::new(single_stream(), GpuSim::new(gpu)).unwrap();
         let truth = engine.generate(32, 120).energy;
         predicted.relative_error(truth)
     };

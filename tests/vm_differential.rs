@@ -219,30 +219,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// The rejection side of the contract: the seeded bad-chunk corpus.
-// ---------------------------------------------------------------------------
-
-/// Every entry of the handcrafted ill-formed-program corpus must be
-/// rejected by the verifier with its recorded diagnostic, byte for byte —
-/// the same stability the `cert_gate` CI binary enforces.
-#[test]
-fn bad_chunk_corpus_is_rejected_with_stable_diagnostics() {
-    let corpus = ei_core::vm::testing::bad_chunk_corpus();
-    assert!(corpus.len() >= 15, "corpus shrank to {}", corpus.len());
-    for bad in corpus {
-        match ei_core::vm::verify(&bad.program) {
-            Ok(()) => panic!("verifier accepted corpus entry `{}`", bad.name),
-            Err(errs) => assert_eq!(
-                ei_core::vm::render_errors(&errs),
-                bad.expected,
-                "diagnostic drifted for corpus entry `{}`",
-                bad.name
-            ),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The VM's call memo: a repeat of an ECV-free call must be unobservable.
 // ---------------------------------------------------------------------------
 
