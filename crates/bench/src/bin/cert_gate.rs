@@ -25,14 +25,13 @@ use std::collections::BTreeMap;
 
 use ei_bench::fig1::deployed_interfaces;
 use ei_bench::table1::fitted_gpt2_interface;
-use ei_core::analysis::cert::{certify, Certificate, Monotonicity};
+use ei_core::analysis::cert::{args_at, axes_for, certify, probe_grid, Certificate, Monotonicity};
 use ei_core::analysis::interval::{ecv_abs_value, AbsValue};
 use ei_core::compose::link;
 use ei_core::ecv::{EcvEnv, EcvValue};
 use ei_core::interface::{InputSpec, Interface};
 use ei_core::interp::{evaluate_energy, EvalConfig};
 use ei_core::units::{Calibration, Energy};
-use ei_core::value::Value;
 use ei_core::vm;
 use ei_hw::gpu::rtx4090;
 use ei_hw::interfaces::{gpu_interface, gpu_interface_dvfs};
@@ -119,109 +118,6 @@ fn targets() -> Vec<Target> {
     out
 }
 
-/// A sampling axis: one scalar parameter, or one field of a record
-/// parameter, with its probe points.
-struct Axis {
-    /// Parameter index in the function signature.
-    param: usize,
-    /// Field name for record parameters (`None` for scalars).
-    field: Option<String>,
-    /// Probe points: `lo`, midpoint, `hi`.
-    points: [f64; 3],
-}
-
-/// Builds the sampling axes for `func`, or `None` when some parameter has
-/// no declared range (the certificate still bounds it via the abstract
-/// domain, but the gate cannot pick concrete values for it).
-fn axes_for(iface: &Interface, func: &str, spec: &InputSpec) -> Option<Vec<Axis>> {
-    let params = &iface.fns().get(func)?.params;
-    let mut axes = Vec::new();
-    for (i, p) in params.iter().enumerate() {
-        if let Some(r) = spec.get(p) {
-            axes.push(Axis {
-                param: i,
-                field: None,
-                points: [r.lo, (r.lo + r.hi) / 2.0, r.hi],
-            });
-            continue;
-        }
-        // Record parameter: every `p.field` entry becomes its own axis.
-        let prefix = format!("{p}.");
-        let mut any = false;
-        for (path, r) in spec.iter() {
-            if let Some(field) = path.strip_prefix(&prefix) {
-                axes.push(Axis {
-                    param: i,
-                    field: Some(field.to_string()),
-                    points: [r.lo, (r.lo + r.hi) / 2.0, r.hi],
-                });
-                any = true;
-            }
-        }
-        if !any {
-            return None;
-        }
-    }
-    Some(axes)
-}
-
-/// Deterministic probe grid over the axes: the full 3^n cartesian product
-/// for small signatures, otherwise the three diagonals plus per-axis
-/// extremes with every other axis at its midpoint.
-fn probe_grid(axes: &[Axis]) -> Vec<Vec<usize>> {
-    let n = axes.len();
-    if n == 0 {
-        return vec![Vec::new()];
-    }
-    if n <= 4 {
-        let mut grid = vec![Vec::new()];
-        for _ in 0..n {
-            grid = grid
-                .into_iter()
-                .flat_map(|g| {
-                    (0..3).map(move |k| {
-                        let mut g = g.clone();
-                        g.push(k);
-                        g
-                    })
-                })
-                .collect();
-        }
-        return grid;
-    }
-    let mut grid: Vec<Vec<usize>> = (0..3).map(|k| vec![k; n]).collect();
-    for i in 0..n {
-        for k in [0usize, 2] {
-            let mut g = vec![1usize; n];
-            g[i] = k;
-            grid.push(g);
-        }
-    }
-    grid
-}
-
-/// Materialises one probe point as concrete call arguments.
-fn args_at(iface: &Interface, func: &str, axes: &[Axis], point: &[usize]) -> Vec<Value> {
-    let params = &iface.fns()[func].params;
-    let mut args: Vec<Value> = params.iter().map(|_| Value::Num(0.0)).collect();
-    let mut records: Vec<Option<Vec<(String, Value)>>> = params.iter().map(|_| None).collect();
-    for (axis, &k) in axes.iter().zip(point) {
-        let v = Value::Num(axis.points[k]);
-        match &axis.field {
-            None => args[axis.param] = v,
-            Some(f) => records[axis.param]
-                .get_or_insert_with(Vec::new)
-                .push((f.clone(), v)),
-        }
-    }
-    for (i, fields) in records.into_iter().enumerate() {
-        if let Some(fields) = fields {
-            args[i] = Value::record(fields);
-        }
-    }
-    args
-}
-
 /// One certified function in the JSON artifact.
 #[derive(Debug, Clone, Serialize)]
 struct FnRow {
@@ -294,11 +190,12 @@ fn run_target(t: &Target) -> (TargetReport, u64) {
         let mut samples = 0u64;
         let spec = t.iface.input_specs.get(func).cloned().unwrap_or_default();
         if let Some(axes) = axes_for(&t.iface, func, &spec) {
+            let params = &t.iface.fns()[func.as_str()].params;
             let grid = probe_grid(&axes);
             // Joules per grid point and seed, `None` where evaluation failed.
             let mut measured = Vec::with_capacity(grid.len());
             for point in &grid {
-                let args = args_at(&t.iface, func, &axes, point);
+                let args = args_at(&axes, params.len(), point);
                 let mut row = [None; SEEDS.len()];
                 for (slot, seed) in row.iter_mut().zip(SEEDS) {
                     match evaluate_energy(&t.iface, func, &args, &env, seed, &cfg) {
@@ -331,7 +228,7 @@ fn run_target(t: &Target) -> (TargetReport, u64) {
                         unreachable!("verdicts are on numeric ECVs");
                     };
                     for point in &grid {
-                        let args = args_at(&t.iface, func, &axes, point);
+                        let args = args_at(&axes, params.len(), point);
                         for seed in SEEDS {
                             let mut draw = env.sample_assignment(&mut StdRng::seed_from_u64(seed));
                             let run = [r.lo, (r.lo + r.hi) / 2.0, r.hi].map(|v| {
@@ -346,7 +243,6 @@ fn run_target(t: &Target) -> (TargetReport, u64) {
                     }
                     return runs;
                 }
-                let params = &t.iface.fns()[func.as_str()].params;
                 let axis = axes
                     .iter()
                     .position(|a| a.field.is_none() && params[a.param] == key)

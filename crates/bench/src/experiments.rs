@@ -318,8 +318,8 @@ pub fn run_sidechannel() -> SideChannelReport {
     let cal = ei_core::units::Calibration::empty();
     let tol = Energy::picojoules(1.0);
 
-    let v1 = check_constant_energy(&ct, "ct_compare", &spec, &cal, tol, 64, 1).unwrap();
-    let v2 = check_constant_energy(&leaky, "cmp", &spec, &cal, tol, 64, 1).unwrap();
+    let v1 = check_constant_energy(&ct, "ct_compare", &spec, &cal, tol).unwrap();
+    let v2 = check_constant_energy(&leaky, "cmp", &spec, &cal, tol).unwrap();
     let leak_witness = match &v2 {
         ConstantEnergy::Leaky {
             energy_lo,

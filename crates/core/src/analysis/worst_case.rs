@@ -7,7 +7,7 @@
 //! abstract interpreter.
 
 use crate::analysis::interval::{abstract_eval, abstract_inputs, AbsValue, Interval};
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::interface::{InputSpec, Interface};
 use crate::units::{Calibration, Energy};
 
@@ -81,29 +81,6 @@ pub fn worst_case_at(
     worst_case_with_args(iface, func, &args, cal)
 }
 
-/// Verifies that `impl_iface.func` stays within `budget` over `spec`.
-///
-/// Returns the computed bound on success; errors with
-/// [`Error::Incompatible`] when the worst case exceeds the budget.
-pub fn check_budget(
-    impl_iface: &Interface,
-    func: &str,
-    spec: &InputSpec,
-    cal: &Calibration,
-    budget: Energy,
-) -> Result<EnergyBound> {
-    let bound = worst_case(impl_iface, func, spec, cal)?;
-    if bound.upper > budget {
-        return Err(Error::Incompatible {
-            msg: format!(
-                "worst-case energy {} of `{func}` exceeds budget {}",
-                bound.upper, budget
-            ),
-        });
-    }
-    Ok(bound)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,29 +139,6 @@ mod tests {
         let b = worst_case_at(&iface(), "handle", &[50.0], &Calibration::empty()).unwrap();
         assert!((b.upper.as_joules() - 0.110).abs() < 1e-12);
         assert!((b.lower.as_joules() - 0.010).abs() < 1e-12);
-    }
-
-    #[test]
-    fn budget_check() {
-        let spec = InputSpec::new().range("n", 0.0, 100.0);
-        assert!(check_budget(
-            &iface(),
-            "handle",
-            &spec,
-            &Calibration::empty(),
-            Energy::millijoules(250.0)
-        )
-        .is_ok());
-        assert!(matches!(
-            check_budget(
-                &iface(),
-                "handle",
-                &spec,
-                &Calibration::empty(),
-                Energy::millijoules(100.0)
-            ),
-            Err(Error::Incompatible { .. })
-        ));
     }
 
     #[test]

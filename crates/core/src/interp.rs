@@ -1038,6 +1038,35 @@ pub fn enumerate_exact(
     limit: usize,
     config: &EvalConfig,
 ) -> Result<EnergyDist> {
+    let outcomes = enumerate_outcomes(iface, func, args, env, limit, config)?;
+    Ok(EnergyDist::mixture(
+        outcomes.into_iter().map(|o| (o.energy, o.probability)),
+    ))
+}
+
+/// One enumerated path: the ECV observations that select it, its
+/// probability, and the energy consumed along it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PathOutcome {
+    /// The ECV assignment that drives this path.
+    pub assignment: BTreeMap<String, EcvValue>,
+    /// Probability of the assignment.
+    pub probability: f64,
+    /// Energy consumed on this path (calibrated Joules).
+    pub energy: Energy,
+}
+
+/// The one exact-enumeration loop: `iface.func(args)` under every
+/// assignment of `env`'s finite ECV space (≤ `limit` assignments), on the
+/// engine `config` selects, in enumeration order.
+pub(crate) fn enumerate_outcomes(
+    iface: &Interface,
+    func: &str,
+    args: &[Value],
+    env: &EcvEnv,
+    limit: usize,
+    config: &EvalConfig,
+) -> Result<Vec<PathOutcome>> {
     let assignments = env.enumerate_assignments(limit)?;
     let program = prepare_engine(iface, config)?;
     let mut machine = program.as_deref().map(vm::Vm::new);
@@ -1052,9 +1081,13 @@ pub fn enumerate_exact(
             })?,
             None => eval_with_assignment(iface, func, args, &assignment, config)?,
         };
-        outcomes.push((v.into_energy()?.calibrate(&config.calibration)?, p));
+        outcomes.push(PathOutcome {
+            energy: v.into_energy()?.calibrate(&config.calibration)?,
+            assignment,
+            probability: p,
+        });
     }
-    Ok(EnergyDist::mixture(outcomes))
+    Ok(outcomes)
 }
 
 /// The expected (mean) energy of `iface.func(args)`.

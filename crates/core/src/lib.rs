@@ -16,7 +16,9 @@
 //! - [Composition](compose) (linking interfaces against providers) and the
 //!   Fig. 2 [stack] model of layers, resources, and resource managers.
 //! - The [analysis] toolchain: worst-case bounds, path enumeration,
-//!   constant-energy (side-channel) checking, and compatibility checking.
+//!   constant-energy (side-channel) checking, and compatibility checking,
+//!   all deterministic: the interval walk proves, and concrete executions
+//!   at fixed probe points refute.
 //!
 //! # Examples
 //!

@@ -3,12 +3,13 @@
 //! size), trace-based derivation feeding compatibility checking, and
 //! energy-bug detection over the web service.
 
-use energy_clarity::core::analysis::compat::{check_compat, CompatConfig};
+use energy_clarity::core::analysis::compat::{check_compat, Compatibility};
 use energy_clarity::core::compose::link;
 use energy_clarity::core::ecv::EcvEnv;
 use energy_clarity::core::interface::InputSpec;
 use energy_clarity::core::interp::{evaluate_energy, EvalConfig};
 use energy_clarity::core::parser::parse;
+use energy_clarity::core::units::Calibration;
 use energy_clarity::core::value::Value;
 use energy_clarity::extract::microbench::fit_gpu_model;
 use energy_clarity::extract::trace::{derive_interface, Tracer};
@@ -122,10 +123,10 @@ fn derived_interface_checks_against_spec_envelope() {
         &candidate,
         "e_run",
         &InputSpec::new().range("items", 0.0, 100.0),
-        &CompatConfig::default(),
+        &Calibration::empty(),
     )
     .unwrap();
-    assert!(ok.is_compatible(), "{:?}", ok.violations);
+    assert!(ok.is_compatible(), "{ok:?}");
 
     // Now a regressed implementation: two gets per item. It must violate.
     let regressed = |t: &mut Tracer, x: &[f64]| {
@@ -142,10 +143,14 @@ fn derived_interface_checks_against_spec_envelope() {
         &candidate2,
         "e_run",
         &InputSpec::new().range("items", 0.0, 100.0),
-        &CompatConfig::default(),
+        &Calibration::empty(),
     )
     .unwrap();
-    assert!(!bad.is_compatible(), "regression must be caught");
+    // 1 mJ + 0.512 mJ/item exceeds 2 mJ + 0.5 mJ/item past 83.3 items.
+    match bad {
+        Compatibility::Incompatible { input, .. } => assert!(input[0] > 83.3, "{input:?}"),
+        other => panic!("regression must be caught with a counterexample, got {other:?}"),
+    }
 }
 
 /// The microbenchmark fit must never read the device's secret constants:
