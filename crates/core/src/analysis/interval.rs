@@ -14,6 +14,11 @@
 //! unknown) in each certification target — a parameter or a numeric ECV —
 //! so one walk yields both a function's bound and its monotonicity
 //! verdicts. [`abstract_eval`] is that walk with no target.
+//!
+//! The compatibility check ([`crate::analysis::compat`]) runs the walk over
+//! an input box with one more companion per value, a first-order form in
+//! the box's inputs (see [`Slope`]), so the difference of two functions
+//! over one box keeps what the two share.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -525,6 +530,102 @@ pub(crate) fn abstract_eval_dirs<'a>(
     a.call(func, args)
 }
 
+/// Abstractly evaluates `iface.func` over the box `b` (one `(lo, hi)` per
+/// scalar parameter) as [`abstract_eval`] does, and tracks beside every
+/// number, and every energy's Joule component, its first-order form in the
+/// box's inputs (see [`Slope`]).
+pub(crate) fn abstract_eval_box(iface: &Interface, func: &str, b: &[(f64, f64)]) -> Result<Val> {
+    let args = b
+        .iter()
+        .enumerate()
+        .map(|(i, &(lo, hi))| Val {
+            val: AbsValue::Num(Interval::new(lo, hi)),
+            dirs: Dirs::ZERO,
+            slope: Some(Box::new(Slope::input(i, lo))),
+        })
+        .collect();
+    abstract_eval_dirs(iface, func, args, BTreeMap::new())
+}
+
+/// A first-order enclosure of a number, or of an energy's Joule
+/// component, over an input box with low corner `lo`: at every input `x`
+/// of the box the value lies in `c + Σ k[i]·(x[i] − lo[i])`, where `k[i]`
+/// is zero past the end of `k`. Where two functions' ranges over a box
+/// overlap — wherever they touch — the difference of their forms can
+/// still bound one below the other.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Slope {
+    c: Interval,
+    k: Vec<Interval>,
+}
+
+impl Slope {
+    /// A value known only by its range `r`.
+    fn of(r: Interval) -> Slope {
+        Slope {
+            c: r,
+            k: Vec::new(),
+        }
+    }
+
+    /// Input `i` itself, in a box whose low corner there is `lo`.
+    fn input(i: usize, lo: f64) -> Slope {
+        let unit = |j| Interval::point(if j == i { 1.0 } else { 0.0 });
+        Slope {
+            c: Interval::point(lo),
+            k: (0..=i).map(unit).collect(),
+        }
+    }
+
+    /// Coefficient `i`.
+    fn coef(&self, i: usize) -> Interval {
+        self.k.get(i).copied().unwrap_or(Interval::point(0.0))
+    }
+
+    /// Applies `f` to the constants and to each pair of coefficients.
+    fn zip(&self, o: &Slope, f: impl Fn(&Interval, &Interval) -> Interval) -> Slope {
+        Slope {
+            c: f(&self.c, &o.c),
+            k: (0..self.k.len().max(o.k.len()))
+                .map(|i| f(&self.coef(i), &o.coef(i)))
+                .collect(),
+        }
+    }
+
+    /// The product with a value of form `o` whose range is `o_range`:
+    /// `fg = c_f·c_g + Σ (c_f·k_g[i] + k_f[i]·g(x))·(x[i] − lo[i])`.
+    fn mul(&self, o: &Slope, o_range: &Interval) -> Slope {
+        Slope {
+            c: self.c.mul(&o.c),
+            k: (0..self.k.len().max(o.k.len()))
+                .map(|i| self.c.mul(&o.coef(i)).add(&self.coef(i).mul(o_range)))
+                .collect(),
+        }
+    }
+
+    /// Every coefficient and the constant divided by `d`, for a divisor
+    /// known only by its range `d`.
+    fn div(&self, d: &Interval) -> Result<Slope> {
+        Ok(Slope {
+            c: self.c.div(d)?,
+            k: self.k.iter().map(|k| k.div(d)).collect::<Result<_>>()?,
+        })
+    }
+
+    /// The largest value the form admits over a box of widths `w`.
+    pub(crate) fn upper(&self, w: &[f64]) -> f64 {
+        let slack: f64 = (w.iter().enumerate())
+            .map(|(i, w)| self.coef(i).hi.max(0.0) * w)
+            .sum();
+        self.c.hi + slack
+    }
+
+    /// The form of `a − b`.
+    pub(crate) fn sub(&self, o: &Slope) -> Slope {
+        self.zip(o, Interval::sub)
+    }
+}
+
 /// Most certification targets one walk tracks: one bit each in [`Dirs`].
 pub(crate) const MAX_TARGETS: usize = 64;
 
@@ -677,6 +778,10 @@ pub(crate) struct Val {
     pub(crate) val: AbsValue,
     /// How the value moves with each target.
     pub(crate) dirs: Dirs,
+    /// The value's first-order form over the input box, in a walk that
+    /// tracks one ([`abstract_eval_box`]); `None` where it is no tighter
+    /// than the interval.
+    pub(crate) slope: Option<Box<Slope>>,
 }
 
 impl Val {
@@ -685,13 +790,34 @@ impl Val {
         Val {
             val,
             dirs: Dirs::ZERO,
+            slope: None,
+        }
+    }
+
+    /// The first-order form of a number or of an energy's Joule
+    /// component: the tracked one, or else the constant form of its
+    /// range.
+    pub(crate) fn form(&self) -> Option<Slope> {
+        match (&self.slope, &self.val) {
+            (Some(s), _) => Some(Slope::clone(s)),
+            (None, AbsValue::Num(r)) => Some(Slope::of(*r)),
+            (None, AbsValue::Energy(e)) => Some(Slope::of(e.joules)),
+            _ => None,
         }
     }
 
     fn join(&self, o: &Val) -> Result<Val> {
+        let slope = match (&self.slope, &o.slope) {
+            (None, None) => None,
+            _ => self
+                .form()
+                .zip(o.form())
+                .map(|(a, b)| Box::new(a.zip(&b, Interval::join))),
+        };
         Ok(Val {
             val: self.val.join(&o.val)?,
             dirs: self.dirs.join(o.dirs),
+            slope,
         })
     }
 
@@ -960,6 +1086,7 @@ impl<'a> AbsEval<'a> {
                 Val {
                     val: AbsValue::Num(iter_var),
                     dirs: from_v.dirs,
+                    slope: None,
                 },
             );
             let f = if accum.is_some() {
@@ -1052,7 +1179,11 @@ impl<'a> AbsEval<'a> {
                 let b = self.expr(base, locals)?;
                 match b.val {
                     AbsValue::Record(mut fields) => match fields.remove(name) {
-                        Some(val) => Ok(Val { val, dirs: b.dirs }),
+                        Some(val) => Ok(Val {
+                            val,
+                            dirs: b.dirs,
+                            slope: None,
+                        }),
                         None => Err(Error::Unresolved {
                             kind: NameKind::Field,
                             name: name.clone(),
@@ -1076,6 +1207,7 @@ impl<'a> AbsEval<'a> {
                         .get(name.as_str())
                         .copied()
                         .unwrap_or(Dirs::ZERO),
+                    slope: None,
                 })
             }
             Expr::Unary(op, inner) => {
@@ -1097,11 +1229,15 @@ impl<'a> AbsEval<'a> {
                         Ok(Val {
                             val,
                             dirs: v.dirs.flip(),
+                            slope: v
+                                .slope
+                                .map(|s| Box::new(Slope::of(Interval::point(0.0)).sub(&s))),
                         })
                     }
                     UnOp::Not => Ok(Val {
                         val: AbsValue::Bool(v.val.as_bool()?.not()),
                         dirs: v.dirs.collapse(),
+                        slope: None,
                     }),
                 }
             }
@@ -1224,9 +1360,33 @@ fn binary(op: BinOp, a: Val, b: Val) -> Result<Val> {
         BinOp::Div => mul_dirs(sign_of(&a.val), a.dirs, sign_of(&b.val), b.dirs.flip()),
         _ => a.dirs.join(b.dirs).collapse(),
     };
+    let slope = match (&a.slope, &b.slope) {
+        (None, None) => None,
+        _ => binary_slope(op, &a, &b)?.map(Box::new),
+    };
     Ok(Val {
         val: abs_binary(op, a.val, b.val)?,
         dirs,
+        slope,
+    })
+}
+
+/// The first-order form of `a op b`, where the operator keeps one; `None`
+/// leaves the result to its interval.
+fn binary_slope(op: BinOp, a: &Val, b: &Val) -> Result<Option<Slope>> {
+    use AbsValue::{Energy, Num};
+    let (Some(fa), Some(fb)) = (a.form(), b.form()) else {
+        return Ok(None);
+    };
+    Ok(match (op, &a.val, &b.val) {
+        (BinOp::Add, Num(_), Num(_)) | (BinOp::Add, Energy(_), Energy(_)) => {
+            Some(fa.zip(&fb, Interval::add))
+        }
+        (BinOp::Sub, Num(_), Num(_)) | (BinOp::Sub, Energy(_), Energy(_)) => Some(fa.sub(&fb)),
+        (BinOp::Mul, _, Num(r)) if matches!(a.val, Num(_) | Energy(_)) => Some(fa.mul(&fb, r)),
+        (BinOp::Mul, Num(r), Energy(_)) => Some(fb.mul(&fa, r)),
+        (BinOp::Div, Num(_) | Energy(_), Num(r)) if b.slope.is_none() => Some(fa.div(r)?),
+        _ => None,
     })
 }
 
@@ -1528,7 +1688,11 @@ fn builtin(b: Builtin, args: &[Val]) -> Result<Val> {
             .dirs
             .poison(args[1].dirs.moving() | args[2].dirs.moving()),
     };
-    Ok(Val { val, dirs })
+    Ok(Val {
+        val,
+        dirs,
+        slope: None,
+    })
 }
 
 #[cfg(test)]
