@@ -3,17 +3,13 @@
 //! that raising the cache hit rate beats optimizing the model.
 
 use ei_core::ecv::EcvEnv;
-use ei_core::interface::Interface;
 use ei_core::interp::{enumerate_exact, EvalConfig};
 use ei_core::pretty::print_interface;
-use ei_core::units::{Calibration, TimeSpan};
+use ei_core::units::TimeSpan;
 use ei_core::value::Value;
 use ei_hw::gpu::{rtx4090, GpuSim};
 use ei_hw::nic::{datacenter_nic, NicSim};
-use ei_service::{
-    calibrate_with_fault, fig1_calibration, fig1_faulted_calibration, fig1_interface,
-    fig1_interface_faulted, request_stream, CacheEnergy, FaultMixture, MlWebService,
-};
+use ei_service::{fig1_calibration, fig1_interface, request_stream, CacheEnergy, MlWebService};
 use serde::Serialize;
 
 /// Outcome of the Fig. 1 validation run.
@@ -38,7 +34,7 @@ pub struct Fig1Report {
 }
 
 /// The Fig. 1 web service on an RTX 4090 and a datacenter NIC.
-fn service() -> MlWebService {
+pub(crate) fn service() -> MlWebService {
     MlWebService::new(
         GpuSim::new(rtx4090()),
         NicSim::new(datacenter_nic()),
@@ -181,49 +177,4 @@ pub fn render(r: &Fig1Report) -> String {
         ));
     }
     out
-}
-
-/// The deployed Fig. 1 interfaces, each named and paired with the
-/// calibration it ships with: the healthy web service with the
-/// calibration the service measures, and the fault-conditioned one (§3 /
-/// E9) with a representative measured mixture and a browned-leaf
-/// calibration. The lint and certification gates check both.
-pub fn deployed_interfaces() -> [(&'static str, Interface, Calibration); 2] {
-    let cal = service().calibrate_cnn();
-    let nic = datacenter_nic();
-    let cal_br = calibrate_with_fault(&rtx4090(), 0.85, 0.25).expect("probe fits");
-    let mix = FaultMixture {
-        p_request_hit: 0.55,
-        p_local_hit: 0.8,
-        p_remote_alive: 0.9,
-        p_brownout: 0.3,
-        p_degraded_given_brownout: 0.5,
-        timeout_attempts_per_request: 0.02,
-    };
-    [
-        (
-            "service: Fig. 1 interface",
-            fig1_interface(
-                0.25,
-                0.8,
-                &cal,
-                &CacheEnergy::default(),
-                nic.e_byte,
-                nic.e_packet,
-            ),
-            fig1_calibration(&cal),
-        ),
-        (
-            "service: fault-conditioned Fig. 1 interface",
-            fig1_interface_faulted(
-                &mix,
-                &cal,
-                &cal_br,
-                &CacheEnergy::default(),
-                nic.e_byte,
-                nic.e_packet,
-            ),
-            fig1_faulted_calibration(&cal, &cal_br),
-        ),
-    ]
 }

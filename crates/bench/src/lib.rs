@@ -5,12 +5,15 @@
 //! `repro_all` binary runs that table and checks every report against its
 //! golden file; `tests/golden_experiments.rs` checks the same entries one
 //! test each. The full-shape runs with their own acceptance asserts
-//! (`cluster_sim`, `drift_recal`, `llm_pareto`) and the CI gates
-//! (`cert_gate`, `lint_gate`) are separate binaries. The machinery itself
-//! is measured by the separate `perfbench` harness;
-//! `benches/telemetry_overhead` gates the cost of telemetry collection.
+//! (`cluster_sim`, `drift_recal`, `llm_pareto`) are separate binaries.
+//! Every shipped interface is listed once in [`catalogue()`]; the CI
+//! `gate` binary lints every entry and certifies every closed one that
+//! declares an input domain. The machinery itself is measured by the
+//! separate `perfbench` harness; `benches/telemetry_overhead` gates the
+//! cost of telemetry collection.
 
 pub mod ablation;
+mod catalogue;
 pub mod cluster;
 pub mod drift;
 pub mod experiments;
@@ -19,6 +22,8 @@ pub mod fig2;
 pub mod golden;
 pub mod llm_pareto;
 pub mod table1;
+
+pub use catalogue::{catalogue, Entry};
 
 use std::borrow::Borrow;
 

@@ -27,7 +27,7 @@
 //!
 //! The deterministic probe grid over a declared domain ([`axes_for`],
 //! [`probe_grid`], [`args_at`]) picks the concrete executions that check
-//! a certificate (the `cert_gate` binary) and that witness a leak
+//! a certificate (`ei-bench`'s `gate` binary) and that witness a leak
 //! ([`crate::analysis::constant_energy`]).
 
 use std::collections::BTreeMap;

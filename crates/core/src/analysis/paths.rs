@@ -44,30 +44,6 @@ impl PathProfile {
         })
     }
 
-    /// The best-case (cheapest) path.
-    pub fn best(&self) -> Option<&PathOutcome> {
-        self.paths.iter().min_by(|a, b| {
-            a.energy
-                .partial_cmp(&b.energy)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-    }
-
-    /// Number of distinct energy outcomes (paths with equal energy merged).
-    pub fn distinct_energies(&self, tolerance: Energy) -> usize {
-        let mut es: Vec<f64> = self.paths.iter().map(|p| p.energy.as_joules()).collect();
-        es.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let mut count = 0;
-        let mut last = f64::NEG_INFINITY;
-        for e in es {
-            if (e - last).abs() > tolerance.as_joules() {
-                count += 1;
-                last = e;
-            }
-        }
-        count
-    }
-
     /// Renders a human-readable path table (one line per path).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -215,15 +191,11 @@ mod tests {
     }
 
     #[test]
-    fn expected_worst_best() {
+    fn expected_and_worst() {
         let profile = profile(10.0, None);
         let expect = 0.25 * (0.8 * 0.05 + 0.2 * 1.0) + 0.75 * 2.0;
         assert!((profile.expected_energy().as_joules() - expect).abs() < 1e-9);
         assert_eq!(profile.worst().unwrap().energy.as_joules(), 2.0);
-        assert!((profile.best().unwrap().energy.as_joules() - 0.05).abs() < 1e-12);
-        // Four assignments, but `local_hit` is dead on the miss path, so the
-        // two miss assignments produce the same 2 J outcome: 3 distinct.
-        assert_eq!(profile.distinct_energies(Energy::nanojoules(1.0)), 3);
     }
 
     #[test]

@@ -86,7 +86,7 @@ impl InputSpec {
 
 /// An energy interface: functions, ECV declarations, abstract units, and
 /// extern requirements.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Interface {
     /// Interface name (e.g. `ml_webservice`).
     pub name: String,
@@ -105,15 +105,43 @@ pub struct Interface {
     /// Optional input schemas per function, for analyses.
     pub input_specs: BTreeMap<String, InputSpec>,
     /// Source positions recorded by the parser (metadata: always compares
-    /// equal, serializes as `null`; empty for programmatically built
+    /// equal and is not serialized; empty for programmatically built
     /// interfaces).
     pub spans: crate::span::SpanTable,
     /// The verified program last compiled from this interface and the
     /// memoized fingerprint walk over `fns` (metadata, like `spans`; see
-    /// [`Interface::program`] and [`Interface::fns_state`]). Named for the
-    /// program it held first: the serialized form shows the name, as
-    /// `"compiled": null`.
-    pub(crate) compiled: Carried,
+    /// [`Interface::program`] and [`Interface::fns_state`]).
+    pub(crate) carried: Carried,
+}
+
+/// The serialized form holds the seven identity fields, in declaration
+/// order, and none of the metadata.
+impl Serialize for Interface {
+    fn to_value(&self) -> serde::Value {
+        // Destructured so that a new field fails to compile until it is
+        // serialized here or, like `spans` and `carried`, deliberately
+        // left out.
+        let Interface {
+            name,
+            doc,
+            fns,
+            ecvs,
+            units,
+            externs,
+            input_specs,
+            spans: _,
+            carried: _,
+        } = self;
+        serde::Value::Object(vec![
+            ("name".into(), name.to_value()),
+            ("doc".into(), doc.to_value()),
+            ("fns".into(), fns.to_value()),
+            ("ecvs".into(), ecvs.to_value()),
+            ("units".into(), units.to_value()),
+            ("externs".into(), externs.to_value()),
+            ("input_specs".into(), input_specs.to_value()),
+        ])
+    }
 }
 
 /// What an [`Interface`] carries between uses: the verified program with
@@ -121,8 +149,8 @@ pub struct Interface {
 /// state before and after `fns`.
 ///
 /// Metadata, not identity, like [`SpanTable`](crate::span::SpanTable): it
-/// always compares equal, serializes as `null`, prints nothing under
-/// `Debug`, and the fingerprint skips it, so whether a driver has run on
+/// always compares equal, is not serialized, prints nothing under `Debug`,
+/// and the fingerprint skips it, so whether a driver has run on
 /// an interface never shows. `Clone` copies both; a clone whose `fns` is
 /// then edited forgets its copy of the walk, and recompiles on its next
 /// use because its fingerprint no longer matches. The lock is
@@ -166,12 +194,6 @@ impl fmt::Debug for Carried {
     }
 }
 
-impl Serialize for Carried {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
-    }
-}
-
 impl Interface {
     /// Creates an empty interface with the given name.
     pub fn new(name: impl Into<String>) -> Self {
@@ -184,7 +206,7 @@ impl Interface {
             externs: BTreeMap::new(),
             input_specs: BTreeMap::new(),
             spans: crate::span::SpanTable::default(),
-            compiled: Carried::default(),
+            carried: Carried::default(),
         }
     }
 
@@ -199,13 +221,13 @@ impl Interface {
     /// stored.
     pub(crate) fn program(&self) -> Result<Arc<vm::Program>> {
         let fingerprint = fingerprint_interface(self);
-        if let Some((at, program)) = &self.compiled.0.lock().program {
+        if let Some((at, program)) = &self.carried.0.lock().program {
             if *at == fingerprint {
                 return Ok(Arc::clone(program));
             }
         }
         let program = Arc::new(vm::compile(self)?);
-        self.compiled.0.lock().program = Some((fingerprint, Arc::clone(&program)));
+        self.carried.0.lock().program = Some((fingerprint, Arc::clone(&program)));
         Ok(program)
     }
 
@@ -224,7 +246,7 @@ impl Interface {
     ) -> u64 {
         // Destructured so that a new field fails to compile until
         // `cache::hash_interface` hashes it (or, like the `spans` and
-        // `compiled` metadata, deliberately leaves it out).
+        // `carried` metadata, deliberately leaves it out).
         let Interface {
             name: _,
             doc: _,
@@ -234,15 +256,15 @@ impl Interface {
             externs: _,
             input_specs: _,
             spans: _,
-            compiled,
+            carried,
         } = self;
-        if let Some((at, after)) = compiled.0.lock().fns_walk {
+        if let Some((at, after)) = carried.0.lock().fns_walk {
             if at == before {
                 return after;
             }
         }
         let after = walk(before, fns);
-        compiled.0.lock().fns_walk = Some((before, after));
+        carried.0.lock().fns_walk = Some((before, after));
         after
     }
 
@@ -255,7 +277,7 @@ impl Interface {
     /// memoized fingerprint walk over them first, so the next fingerprint
     /// walks what the caller leaves.
     pub fn fns_mut(&mut self) -> &mut BTreeMap<String, FnDef> {
-        self.compiled.0.get_mut().fns_walk = None;
+        self.carried.0.get_mut().fns_walk = None;
         &mut self.fns
     }
 
@@ -587,6 +609,29 @@ mod tests {
     }
 
     #[test]
+    fn serializes_exactly_the_identity_fields() {
+        let value = Interface::new("t").to_value();
+        let keys: Vec<&str> = value
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "name",
+                "doc",
+                "fns",
+                "ecvs",
+                "units",
+                "externs",
+                "input_specs"
+            ]
+        );
+    }
+
+    #[test]
     fn input_spec_ranges() {
         let spec = InputSpec::new()
             .range("request.image_size", 1.0, 4096.0)
@@ -609,7 +654,7 @@ mod tests {
     fn warm() -> Interface {
         let i = crate::parser::parse(MEMO_SRC).unwrap();
         fingerprint_interface(&i);
-        assert!(i.compiled.0.lock().fns_walk.is_some());
+        assert!(i.carried.0.lock().fns_walk.is_some());
         i
     }
 
@@ -617,7 +662,7 @@ mod tests {
     /// memo is cold: what a full walk gives.
     fn cold(i: &Interface) -> u64 {
         let fresh = crate::parser::parse(&crate::pretty::print_interface(i)).unwrap();
-        assert!(fresh.compiled.0.lock().fns_walk.is_none());
+        assert!(fresh.carried.0.lock().fns_walk.is_none());
         fingerprint_interface(&fresh)
     }
 

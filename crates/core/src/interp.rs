@@ -1621,12 +1621,12 @@ mod tests {
             mode: ExecMode::TreeWalk,
             ..config.clone()
         });
-        assert!(iface.compiled.stored().is_none(), "the tree-walk compiled");
+        assert!(iface.carried.stored().is_none(), "the tree-walk compiled");
 
         monte_carlo(&iface, "handle", &args, &env, 64, 0, &config).unwrap();
-        let first = iface.compiled.stored().expect("the first call compiled");
+        let first = iface.carried.stored().expect("the first call compiled");
         run_all(&config);
-        let last = iface.compiled.stored().unwrap();
+        let last = iface.carried.stored().unwrap();
         assert!(Arc::ptr_eq(&first, &last), "a driver recompiled");
         assert_eq!(
             first.fingerprint(),

@@ -87,16 +87,6 @@ const ENERGY_SUFFIXES: &[(&str, f64)] = &[
     ("Wh", 3600.0),
 ];
 
-/// Parses a complete `interface` declaration from source text.
-pub fn parse_interface(src: &str) -> Result<Interface> {
-    let toks = lex(src)?;
-    let mut p = Parser::new(toks);
-    let iface = p.interface()?;
-    p.expect_eof()?;
-    iface.validate()?;
-    Ok(iface)
-}
-
 /// Parses a standalone expression (useful for tests and tools).
 pub fn parse_expr(src: &str) -> Result<Expr> {
     let toks = lex(src)?;

@@ -149,7 +149,7 @@ impl FnSpans {
 /// All source positions recorded while parsing one interface.
 ///
 /// Compares equal to every other table (spans are metadata, not identity),
-/// serializes to nothing and is skipped by the cache fingerprint, so adding
+/// is not serialized and is skipped by the cache fingerprint, so adding
 /// it to [`Interface`](crate::interface::Interface) perturbs neither
 /// structural equality nor cache fingerprints.
 #[derive(Debug, Clone, Default)]
@@ -204,15 +204,6 @@ impl SpanTable {
 impl PartialEq for SpanTable {
     fn eq(&self, _other: &Self) -> bool {
         true
-    }
-}
-
-// For the same reason the table serializes to nothing (`null`), so
-// serialized interfaces are unaffected by recorded positions (the cache
-// fingerprint skips it too).
-impl serde::Serialize for SpanTable {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
     }
 }
 

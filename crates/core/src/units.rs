@@ -67,11 +67,6 @@ impl Energy {
         self.0
     }
 
-    /// The value in millijoules.
-    pub fn as_millijoules(self) -> f64 {
-        self.0 * 1e3
-    }
-
     /// Returns true if the value is finite (not NaN or infinite).
     pub fn is_finite(self) -> bool {
         self.0.is_finite()

@@ -172,15 +172,6 @@ impl Program {
     pub fn fingerprint(&self) -> u64 {
         fingerprint_program(self)
     }
-
-    /// Resolves this program's calibration slots against `cal`: slot `i`
-    /// holds the Joule value of `units[i]`, or `None` if uncalibrated.
-    pub fn calibration_slots(
-        &self,
-        cal: &crate::units::Calibration,
-    ) -> Vec<Option<crate::units::Energy>> {
-        self.units.iter().map(|u| cal.get(u)).collect()
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -61,3 +61,37 @@ fn nan_ranges_are_rejected() {
         }
     }
 }
+
+/// `eic lint`'s exit status: every bad-EIL fixture fails under `--deny
+/// warnings` (the `v*` ones at parse time), a warnings-only fixture passes
+/// without it, and a clean shipped interface passes with it.
+#[test]
+fn lint_exit_status_tracks_severity() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let lint = |flags: &[&str], path: &std::path::Path| {
+        let done = Command::new(env!("CARGO_BIN_EXE_eic"))
+            .arg("lint")
+            .args(flags)
+            .arg(path)
+            .output()
+            .unwrap();
+        let out = String::from_utf8_lossy(&done.stdout).into_owned()
+            + &String::from_utf8_lossy(&done.stderr);
+        (done.status.code(), out)
+    };
+    let mut fixtures = 0;
+    for entry in std::fs::read_dir(root.join("tests/fixtures/bad_eil")).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "eil") {
+            let (code, out) = lint(&["--deny", "warnings"], &path);
+            assert_eq!(code, Some(1), "{}: {out}", path.display());
+            fixtures += 1;
+        }
+    }
+    assert!(fixtures >= 8, "only {fixtures} bad-EIL fixtures found");
+    let warned = root.join("tests/fixtures/bad_eil/w002_nondeterminism.eil");
+    let (code, out) = lint(&[], &warned);
+    assert_eq!(code, Some(0), "{out}");
+    let (code, out) = lint(&["--deny", "warnings"], &root.join("examples/eil/dram.eil"));
+    assert_eq!(code, Some(0), "{out}");
+}

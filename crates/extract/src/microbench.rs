@@ -11,11 +11,12 @@
 //! the same entry points as the vendor one — ready to be linked under any
 //! application interface.
 
-use ei_core::interface::{InputSpec, Interface};
+use ei_core::interface::Interface;
 use ei_core::parser::parse;
 use ei_core::units::{Energy, Power, TimeSpan};
 use ei_hw::cache::{AccessKind, ReuseHint};
 use ei_hw::gpu::{GpuConfig, GpuSim, KernelDesc};
+use ei_hw::interfaces::{idle_input_spec, kernel_input_spec};
 use ei_hw::meter::{MeterConfig, PowerMeter};
 
 use crate::error::{Error, Result};
@@ -103,19 +104,9 @@ impl GpuEnergyModel {
         // (`eic certify` / `analysis::cert`): any kernel inside these
         // ranges is guaranteed to land inside the certified bound.
         iface.set_input_spec("gpu_kernel", kernel_input_spec());
-        iface.set_input_spec("gpu_idle", InputSpec::new().range("seconds", 0.0, 3600.0));
+        iface.set_input_spec("gpu_idle", idle_input_spec());
         iface
     }
-}
-
-/// The declared domain of a fitted `gpu_kernel`-shaped function: generous
-/// counter ranges covering any kernel the simulator can express.
-fn kernel_input_spec() -> InputSpec {
-    InputSpec::new()
-        .range("flops", 0.0, 1e13)
-        .range("logical_bytes", 0.0, 1e13)
-        .range("l2_sectors", 0.0, 1e12)
-        .range("vram_sectors", 0.0, 1e12)
 }
 
 /// The fitted DVFS dynamic-energy scale `s(f) = c0 + c1·f + c2·f²`.
@@ -191,7 +182,7 @@ impl GpuEnergyModel {
         let mut iface = parse(&src).expect("fitted DVFS interface must parse");
         // The clock fraction stays off zero: `compute_s` divides by it.
         iface.set_input_spec("gpu_kernel_f", kernel_input_spec().range("freq", 0.1, 1.0));
-        iface.set_input_spec("gpu_idle", InputSpec::new().range("seconds", 0.0, 3600.0));
+        iface.set_input_spec("gpu_idle", idle_input_spec());
         iface
     }
 }

@@ -152,11 +152,6 @@ impl Core {
         TimeSpan::seconds(self.busy_until)
     }
 
-    /// Time at which the core becomes free.
-    pub fn free_at(&self) -> TimeSpan {
-        TimeSpan::seconds(self.busy_until)
-    }
-
     /// Active energy consumed so far (idle energy is added by the system).
     pub fn active_energy(&self) -> Energy {
         self.energy

@@ -6,16 +6,35 @@
 //! (When a vendor interface is *not* available, `ei-extract` derives an
 //! approximate one from microbenchmarks instead — the paper's fallback.)
 
-use ei_core::interface::Interface;
+use ei_core::interface::{InputSpec, Interface};
 use ei_core::parser::parse;
 
 use crate::cpu::CoreType;
 use crate::gpu::GpuConfig;
 use crate::nic::NicConfig;
 
+/// The declared domain of a kernel-shaped function (`gpu_kernel`, and
+/// `gpu_kernel_f` with a `freq` range added): counter ranges generous
+/// enough for any kernel the simulator can express. The vendor GPU
+/// interfaces and the ones `ei-extract` fits ship it, which makes them
+/// certifiable.
+pub fn kernel_input_spec() -> InputSpec {
+    InputSpec::new()
+        .range("flops", 0.0, 1e13)
+        .range("logical_bytes", 0.0, 1e13)
+        .range("l2_sectors", 0.0, 1e12)
+        .range("vram_sectors", 0.0, 1e12)
+}
+
+/// The declared domain of `gpu_idle`: up to an hour.
+pub fn idle_input_spec() -> InputSpec {
+    InputSpec::new().range("seconds", 0.0, 3600.0)
+}
+
 /// Builds the vendor energy interface of a GPU.
 ///
-/// Exported functions:
+/// Exported functions, each declaring its domain ([`kernel_input_spec`],
+/// [`idle_input_spec`]):
 /// - `gpu_kernel(flops, logical_bytes, l2_sectors, vram_sectors)` — dynamic
 ///   plus static energy of one kernel, with the kernel duration derived from
 ///   the same roofline the device uses;
@@ -51,14 +70,18 @@ pub fn gpu_interface(cfg: &GpuConfig) -> Interface {
         e_vram = cfg.e_vram_sector.as_joules(),
         static_w = cfg.static_power.as_watts(),
     );
-    parse(&src).expect("generated GPU interface must parse")
+    let mut iface = parse(&src).expect("generated GPU interface must parse");
+    iface.set_input_spec("gpu_kernel", kernel_input_spec());
+    iface.set_input_spec("gpu_idle", idle_input_spec());
+    iface
 }
 
 /// Builds the DVFS-aware vendor energy interface of a GPU.
 ///
 /// Like [`gpu_interface`] but every kernel-level function takes the
 /// graphics-clock fraction `freq` (granted clock / top clock) as an extra
-/// argument, matching [`crate::gpu::GpuSim::set_clock_mhz`]:
+/// argument, matching [`crate::gpu::GpuSim::set_clock_mhz`], and each
+/// function declares its domain:
 ///
 /// - `gpu_kernel_f(flops, logical_bytes, l2_sectors, vram_sectors, freq)` —
 ///   compute time stretches by `1/freq`, per-event dynamic energy scales by
@@ -107,7 +130,18 @@ pub fn gpu_interface_dvfs(cfg: &GpuConfig) -> Interface {
         v0 = cfg.dvfs_v0,
         v1 = 1.0 - cfg.dvfs_v0,
     );
-    parse(&src).expect("generated DVFS GPU interface must parse")
+    let mut iface = parse(&src).expect("generated DVFS GPU interface must parse");
+    // The clock fraction stays off zero: `compute_s` divides by it.
+    iface.set_input_spec("gpu_kernel_f", kernel_input_spec().range("freq", 0.1, 1.0));
+    iface.set_input_spec(
+        "gpu_time_f",
+        InputSpec::new()
+            .range("flops", 0.0, 1e13)
+            .range("vram_sectors", 0.0, 1e12)
+            .range("freq", 0.1, 1.0),
+    );
+    iface.set_input_spec("gpu_idle", idle_input_spec());
+    iface
 }
 
 /// Builds the vendor energy interface of a CPU core type.

@@ -93,15 +93,9 @@ impl NodeClass {
         Power::watts(self.p_active_w)
     }
 
-    /// Requests per second at full batches of class-`c` requests — the
-    /// capacity figure policies use for feasibility (timing is observable
-    /// without any energy knowledge).
-    pub fn capacity_rps(&self, c: usize) -> f64 {
-        let batch_ns = self.t_fixed_ns + self.max_batch as u64 * self.t_req_ns[c];
-        self.max_batch as f64 / (batch_ns as f64 * 1e-9)
-    }
-
-    /// Capacity under a request mix with `p_large` large requests.
+    /// Requests per second at full batches under a request mix with
+    /// `p_large` large requests: the capacity figure policies use for
+    /// feasibility (timing is observable without any energy knowledge).
     pub fn capacity_rps_mix(&self, p_large: f64) -> f64 {
         let per_req = self.t_req_ns[0] as f64 * (1.0 - p_large) + self.t_req_ns[1] as f64 * p_large;
         let batch_ns = self.t_fixed_ns as f64 + self.max_batch as f64 * per_req;

@@ -197,11 +197,6 @@ impl Histogram {
         self.sum
     }
 
-    /// Per-bucket counts (last slot is the overflow bucket).
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Exports the serializable snapshot under the given name.
     pub fn snapshot(&self, name: &str) -> HistogramSnap {
         HistogramSnap {

@@ -10,6 +10,7 @@ use energy_clarity::core::interface::{InputSpec, Interface};
 use energy_clarity::core::interp::{evaluate_energy, EvalConfig};
 use energy_clarity::core::parser::parse;
 use energy_clarity::core::pretty::print_interface;
+use energy_clarity::core::sema::{self, LintOptions};
 use energy_clarity::core::units::Calibration;
 use energy_clarity::core::value::Value;
 
@@ -205,17 +206,43 @@ fn corpus_worst_case_bounds_are_sound() {
     }
 }
 
-/// Every EIL file the repository ships, and every bundled interface after a
-/// print/parse round trip, parses within the parser's nesting limit. The
-/// lint corpus's `v*` fixtures are the exception: each must be rejected by
-/// distribution validation instead.
+/// The corpus is the lint rules' false-positive suite: each entry, with
+/// its declared input spec attached and its one abstract unit calibrated,
+/// lints without an error. The spec is what makes an entry with a loop
+/// clean: without it, `tls::handshake`'s trip count is unbounded (E004).
+#[test]
+fn corpus_lints_without_errors() {
+    let options = LintOptions::with_calibration(Calibration::from_pairs([(
+        "page_read",
+        energy_clarity::core::units::Energy::microjoules(25.0),
+    )]));
+    for (name, src, entry, _, spec) in corpus() {
+        let mut iface = parse(src).unwrap();
+        if name == "tls_handshake" {
+            let bare = sema::check_program(std::slice::from_ref(&iface), &options);
+            assert!(
+                bare.iter()
+                    .any(|d| d.rule == "E004" && (d.span.line, d.span.col) == (6, 21)),
+                "{name} without its spec:\n{}",
+                bare.render_text()
+            );
+        }
+        if let Some(spec) = spec {
+            iface.set_input_spec(entry, spec);
+        }
+        let diags = sema::check_program(&[iface], &options);
+        assert_eq!(diags.error_count(), 0, "{name}:\n{}", diags.render_text());
+    }
+}
+
+/// Every EIL file the repository ships, and every interface in the shipped
+/// catalogue after a print/parse round trip, parses within the parser's
+/// nesting limit. The lint corpus's `v*` fixtures are the exception: each
+/// must be rejected by distribution validation instead.
 #[test]
 fn shipped_interfaces_parse_within_the_nesting_limit() {
     use energy_clarity::core::parser::parse_all;
     use energy_clarity::core::Error;
-    use energy_clarity::hw::{cpu, gpu, interfaces as hw, nic};
-    use energy_clarity::llm::{batch_interface, interface as llm, model};
-    use energy_clarity::sched::{cluster, fuzz, provision};
 
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut dirs = vec![root.join("examples/eil"), root.join("tests/fixtures")];
@@ -244,22 +271,10 @@ fn shipped_interfaces_parse_within_the_nesting_limit() {
     }
     assert!(files >= 20, "only {files} .eil files found");
 
-    let (big, little) = cpu::big_little();
-    let bundled = vec![
-        hw::gpu_interface(&gpu::rtx4090()),
-        hw::gpu_interface_dvfs(&gpu::rtx4090()),
-        hw::cpu_interface(&big),
-        hw::cpu_interface(&little),
-        hw::nic_interface("datacenter", &nic::datacenter_nic()),
-        llm::gpt2_interface(&model::gpt2_small()),
-        llm::gpt2_interface(&model::gpt2_medium()),
-        batch_interface::gpt2_batch_interface(&model::gpt2_medium()),
-        cluster::compute_node().interface(),
-        fuzz::default_campaign().interface(),
-        provision::bursty_server_interface(),
-    ];
-    for iface in bundled {
-        let printed = print_interface(&iface);
-        parse(&printed).unwrap_or_else(|e| panic!("{}: {e}", iface.name));
+    for entry in ei_bench::catalogue() {
+        for iface in &entry.program {
+            let printed = print_interface(iface);
+            parse(&printed).unwrap_or_else(|e| panic!("{}: {e}", iface.name));
+        }
     }
 }

@@ -76,15 +76,13 @@ fn bad_eil_corpus_matches_golden_reports() {
     }
 }
 
+/// Warnings never escalate to errors: the W002 fixture lints with
+/// warnings and no error. (`language_corpus::corpus_lints_without_errors`
+/// is the rules' false-positive suite.)
 #[test]
-fn good_corpus_has_no_errors() {
-    // The realistic corpus in `language_corpus.rs` doubles as the lint
-    // rules' false-positive regression suite: nothing in it is an error.
-    // (Uncalibrated abstract units would be E002, so calibrate the one
-    // unit the corpus declares.)
+fn warnings_never_escalate_to_errors() {
     let src = std::fs::read_to_string(repo_path("tests/fixtures/bad_eil/w002_nondeterminism.eil"))
         .unwrap();
-    // Warnings must never escalate: the W002 fixture has zero errors.
     let program = parse_all(&src).unwrap();
     let diags = sema::check_program(&program, &LintOptions::default());
     assert_eq!(diags.error_count(), 0, "{}", diags.render_text());
