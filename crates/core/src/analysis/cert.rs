@@ -177,7 +177,7 @@ pub fn certify(iface: &Interface, cal: &Calibration) -> Result<Certificate> {
 /// One abstract walk yields both: the interval of its result is the
 /// bound, and its directions are the verdicts, each parameter and ECV
 /// being one target of the walk. A target past the walk's
-/// [`MAX_TARGETS`] is untracked and reported `Unknown`.
+/// `MAX_TARGETS` (64) is untracked and reported `Unknown`.
 pub fn certify_fn(
     iface: &Interface,
     func: &str,

@@ -17,7 +17,7 @@
 //!
 //! The compatibility check ([`crate::analysis::compat`]) runs the walk over
 //! an input box with one more companion per value, a first-order form in
-//! the box's inputs (see [`Slope`]), so the difference of two functions
+//! the box's inputs (see `Slope`), so the difference of two functions
 //! over one box keeps what the two share.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -505,7 +505,7 @@ pub fn abstract_inputs(iface: &Interface, func: &str, spec: &InputSpec) -> Resul
 /// ECVs take their distribution-derived abstract values; both branches of
 /// unknown conditionals are joined; loops are unrolled up to
 /// [`MAX_ABSTRACT_TRIPS`]. The result over-approximates every concrete
-/// execution. This is [`abstract_eval_dirs`] with no certification target.
+/// execution. This is `abstract_eval_dirs` with no certification target.
 pub fn abstract_eval(iface: &Interface, func: &str, args: &[AbsValue]) -> Result<AbsValue> {
     let args = args.iter().cloned().map(Val::of).collect();
     Ok(abstract_eval_dirs(iface, func, args, BTreeMap::new())?.val)

@@ -110,7 +110,7 @@ pub(crate) fn probe_values(dist: &DistSpec) -> Vec<EcvValue> {
 
 /// The path profiles of `iface.func(args)` that a deterministic probe
 /// reaches: one per way of pinning every continuous ECV at one of its
-/// [`probe_values`], each enumerating the finite-support ECVs exactly.
+/// probe values, each enumerating the finite-support ECVs exactly.
 /// With no continuous ECV this is the one profile [`enumerate_paths`]
 /// lists. `None` when that would take more than 4,096 executions.
 pub fn probe_paths(

@@ -2,18 +2,17 @@
 //!
 //! "A resource manager can execute the interface to know a priori the energy
 //! that the resource would consume if run with a particular workload" (§2).
-//! This module is that execution engine's front door. Its drivers — Monte
-//! Carlo, batch evaluation and exact enumeration, which turn ECV-reading
-//! interfaces into [`EnergyDist`]s — run the bytecode VM ([`crate::vm`])
-//! on the verified program the interface carries, compiled on first use
-//! and again only when the interface's content changes. Single-shot
-//! evaluation and [`ExecMode::TreeWalk`] run the deterministic
-//! tree-walking evaluator defined here, the memo-free reference the VM is
-//! held to. Both engines carry an explicit fuel budget, so any interface
-//! terminates.
+//! This module is that execution engine's front door. Every driver —
+//! single-shot evaluation, and the Monte Carlo, batch evaluation and exact
+//! enumeration that turn ECV-reading interfaces into [`EnergyDist`]s —
+//! runs the bytecode VM ([`crate::vm`]) on the verified program the
+//! interface carries, compiled on first use and again only when the
+//! interface's content changes. [`ExecMode::TreeWalk`] runs the
+//! deterministic tree-walking evaluator defined here instead: the
+//! memo-free reference the VM is held to. Both engines carry an explicit
+//! fuel budget, so any interface terminates.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,11 +47,9 @@ pub const DEFAULT_MAX_DEPTH: usize = 64;
 /// errors, fuel boundaries, and telemetry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// The production engine. Sampling drivers (`monte_carlo`,
-    /// `evaluate_batch`, `enumerate_exact`) run the bytecode VM on the
+    /// The production engine. Every driver runs the bytecode VM on the
     /// program the interface carries, compiled once per interface
-    /// content; a compile error is the caller's error. Single-shot
-    /// evaluation walks the tree.
+    /// content; a compile error is the caller's error.
     #[default]
     Auto,
     /// Always walk the AST: the memo-free differential reference.
@@ -88,9 +85,9 @@ impl Default for EvalConfig {
 struct Eval<'a> {
     iface: &'a Interface,
     ecvs: &'a BTreeMap<String, EcvValue>,
+    config: &'a EvalConfig,
+    /// Fuel left.
     fuel: u64,
-    fuel_limit: u64,
-    max_depth: usize,
 }
 
 /// Result of a statement block: either fall-through or an early return.
@@ -103,7 +100,7 @@ impl<'a> Eval<'a> {
     fn burn(&mut self) -> Result<()> {
         if self.fuel == 0 {
             return Err(Error::FuelExhausted {
-                limit: self.fuel_limit,
+                limit: self.config.fuel,
             });
         }
         self.fuel -= 1;
@@ -111,9 +108,9 @@ impl<'a> Eval<'a> {
     }
 
     fn call(&mut self, name: &str, args: Vec<Value>, depth: usize) -> Result<Value> {
-        if depth > self.max_depth {
+        if depth > self.config.max_depth {
             return Err(Error::StackOverflow {
-                limit: self.max_depth,
+                limit: self.config.max_depth,
             });
         }
         if let Some(f) = self.iface.fns().get(name) {
@@ -400,14 +397,8 @@ fn eval_binary_general(op: BinOp, a: &Value, b: &Value) -> Result<Value> {
                 }
             }
             (Value::Energy(x), Value::Energy(y)) => {
-                let xj = x.to_energy().map_err(|_| Error::Type {
-                    expected: "concrete energies for energy/energy",
-                    got: "abstract energy".into(),
-                })?;
-                let yj = y.to_energy().map_err(|_| Error::Type {
-                    expected: "concrete energies for energy/energy",
-                    got: "abstract energy".into(),
-                })?;
+                let what = "concrete energies for energy/energy";
+                let (xj, yj) = (concrete(x, what)?, concrete(y, what)?);
                 if yj.as_joules() == 0.0 {
                     Err(Error::DivisionByZero)
                 } else {
@@ -432,19 +423,23 @@ fn eval_binary_general(op: BinOp, a: &Value, b: &Value) -> Result<Value> {
             let eq = values_equal(a, b)?;
             Ok(Value::Bool(if op == Eq { eq } else { !eq }))
         }
-        Lt | Le | Gt | Ge => {
-            let (x, y) = comparable_pair(a, b)?;
-            let r = match op {
-                Lt => x < y,
-                Le => x <= y,
-                Gt => x > y,
-                Ge => x >= y,
-                _ => unreachable!("comparison op"),
-            };
-            Ok(Value::Bool(r))
-        }
+        Lt => comparable_pair(a, b).map(|(x, y)| Value::Bool(x < y)),
+        Le => comparable_pair(a, b).map(|(x, y)| Value::Bool(x <= y)),
+        Gt => comparable_pair(a, b).map(|(x, y)| Value::Bool(x > y)),
+        Ge => comparable_pair(a, b).map(|(x, y)| Value::Bool(x >= y)),
+        // Neither engine hands these to the kernel: `Eval::expr` short-circuits
+        // them, and `vm::lower` lowers them to jumps, which the verifier
+        // checks. `kernel_oracle::logical_ops_never_reach_the_kernel` holds.
         And | Or => unreachable!("logical ops are short-circuited in Eval::expr"),
     }
+}
+
+/// `e` in Joules, or a type error saying that `expected` needs it concrete.
+fn concrete(e: &EnergyVec, expected: &'static str) -> Result<Energy> {
+    e.to_energy().map_err(|_| Error::Type {
+        expected,
+        got: "abstract energy".into(),
+    })
 }
 
 fn values_equal(a: &Value, b: &Value) -> Result<bool> {
@@ -463,15 +458,11 @@ fn comparable_pair(a: &Value, b: &Value) -> Result<(f64, f64)> {
     match (a, b) {
         (Value::Num(x), Value::Num(y)) => Ok((*x, *y)),
         (Value::Energy(x), Value::Energy(y)) => {
-            let xe = x.to_energy().map_err(|_| Error::Type {
-                expected: "concrete energies for comparison",
-                got: "abstract energy".into(),
-            })?;
-            let ye = y.to_energy().map_err(|_| Error::Type {
-                expected: "concrete energies for comparison",
-                got: "abstract energy".into(),
-            })?;
-            Ok((xe.as_joules(), ye.as_joules()))
+            let what = "concrete energies for comparison";
+            Ok((
+                concrete(x, what)?.as_joules(),
+                concrete(y, what)?.as_joules(),
+            ))
         }
         (a, b) => Err(Error::Type {
             expected: "numbers or energies for comparison",
@@ -585,6 +576,83 @@ pub fn eval_builtin(b: Builtin, args: &[Value]) -> Result<Value> {
     }
 }
 
+/// Records one evaluation that used `fuel_used`. Every evaluation reports
+/// here, whichever engine ran it and whether a memo answered it, so the
+/// trace cannot reveal either.
+fn record_eval(fuel_used: u64) {
+    if telemetry::enabled() {
+        telemetry::counter_add("core.interp.evals", 1);
+        telemetry::observe_ticks("core.interp.fuel_per_eval", &telemetry::FUEL, fuel_used);
+    }
+}
+
+/// The engine of one driver call (of one worker under
+/// [`monte_carlo_par`]); [`with_engine`] picks it.
+// One per call or worker, on the stack: boxing the VM would cost every
+// production call an allocation to shrink the reference's variant.
+#[allow(clippy::large_enum_variant)]
+enum Engine<'p> {
+    /// [`ExecMode::Auto`]: the interface's carried program on one reused
+    /// VM, whose call memo lasts as long as the engine.
+    Vm(vm::Vm<'p>),
+    /// [`ExecMode::TreeWalk`]: the memo-free reference.
+    Walk(&'p Interface),
+}
+
+/// Runs `body` on the engine `config.mode` selects, the one place that
+/// chooses: under [`ExecMode::Auto`] the verified program `iface` carries,
+/// compiled on first use and reused until its content changes (see
+/// `Interface::program`; a compile error is the caller's error), under
+/// [`ExecMode::TreeWalk`] the tree-walk.
+fn with_engine<T>(
+    iface: &Interface,
+    config: &EvalConfig,
+    body: impl FnOnce(Engine<'_>) -> Result<T>,
+) -> Result<T> {
+    match config.mode {
+        ExecMode::Auto => {
+            let program = iface.program()?;
+            body(Engine::Vm(vm::Vm::new(&program)))
+        }
+        ExecMode::TreeWalk => body(Engine::Walk(iface)),
+    }
+}
+
+impl<'p> Engine<'p> {
+    /// A fresh engine on the same program, for another worker.
+    fn fresh(&self) -> Engine<'p> {
+        match self {
+            Engine::Vm(machine) => Engine::Vm(vm::Vm::new(machine.program())),
+            Engine::Walk(iface) => Engine::Walk(iface),
+        }
+    }
+
+    /// Evaluates `func(args)` under `ecvs` and records the evaluation.
+    fn eval(
+        &mut self,
+        func: &str,
+        args: &[Value],
+        ecvs: &BTreeMap<String, EcvValue>,
+        config: &EvalConfig,
+    ) -> Result<Value> {
+        let (result, fuel_used) = match self {
+            Engine::Vm(machine) => (machine.run(func, args, ecvs, config), machine.fuel_used()),
+            Engine::Walk(iface) => {
+                let fuel = config.fuel;
+                let mut ev = Eval {
+                    iface,
+                    ecvs,
+                    config,
+                    fuel,
+                };
+                (ev.call(func, args.to_vec(), 0), config.fuel - ev.fuel)
+            }
+        };
+        record_eval(fuel_used);
+        result
+    }
+}
+
 /// Evaluates `iface.func(args)` under one concrete ECV assignment.
 ///
 /// This is the deterministic core: every ECV must appear in `ecvs`.
@@ -595,58 +663,7 @@ pub fn eval_with_assignment(
     ecvs: &BTreeMap<String, EcvValue>,
     config: &EvalConfig,
 ) -> Result<Value> {
-    let mut ev = Eval {
-        iface,
-        ecvs,
-        fuel: config.fuel,
-        fuel_limit: config.fuel,
-        max_depth: config.max_depth,
-    };
-    let result = ev.call(func, args.to_vec(), 0);
-    if telemetry::enabled() {
-        telemetry::counter_add("core.interp.evals", 1);
-        telemetry::observe_ticks(
-            "core.interp.fuel_per_eval",
-            &telemetry::FUEL,
-            config.fuel.saturating_sub(ev.fuel),
-        );
-    }
-    result
-}
-
-/// Runs one compiled evaluation with the same telemetry as the
-/// tree-walk's [`eval_with_assignment`] — the trace must not reveal which
-/// engine ran. `ecv` loads the program's ECV slots (see
-/// `vm::Vm::run_with`).
-fn vm_eval(
-    machine: &mut vm::Vm<'_>,
-    func: &str,
-    args: &[Value],
-    config: &EvalConfig,
-    ecv: impl FnMut(usize, &str) -> Option<EcvValue>,
-) -> Result<Value> {
-    let result = machine.run_with(func, args, config, ecv);
-    if telemetry::enabled() {
-        telemetry::counter_add("core.interp.evals", 1);
-        telemetry::observe_ticks(
-            "core.interp.fuel_per_eval",
-            &telemetry::FUEL,
-            machine.fuel_used(),
-        );
-    }
-    result
-}
-
-/// Resolves the engine for a sampling driver: under [`ExecMode::Auto`],
-/// the verified program the interface carries, compiled on its first use
-/// and reused by every later call until its content changes (see
-/// `Interface::program`; a compile error is the caller's error); under
-/// [`ExecMode::TreeWalk`], `None` to walk the tree per sample.
-fn prepare_engine(iface: &Interface, config: &EvalConfig) -> Result<Option<Arc<vm::Program>>> {
-    Ok(match config.mode {
-        ExecMode::TreeWalk => None,
-        ExecMode::Auto => Some(iface.program()?),
-    })
+    with_engine(iface, config, |mut e| e.eval(func, args, ecvs, config))
 }
 
 /// Evaluates `iface.func(args)` once, sampling unpinned ECVs with `seed`.
@@ -711,9 +728,9 @@ pub fn mc_chunk_seed(seed: u64, chunk_index: u64) -> u64 {
 /// memo and executes every sample, which changes speed only.
 const MEMO_CAP: usize = 4096;
 
-/// The compiled engine's state for one sampling call (one per worker under
-/// [`monte_carlo_par`]): a reused [`vm::Vm`] plus a memo of every ECV
-/// assignment already executed.
+/// One sampling call's [`Engine`] (one per worker under
+/// [`monte_carlo_par`]) plus, on the VM, a memo of every ECV assignment
+/// already executed.
 ///
 /// Evaluation is deterministic per assignment, so a repeated assignment
 /// replays its calibrated energy instead of re-executing. Bernoulli and
@@ -725,21 +742,21 @@ const MEMO_CAP: usize = 4096;
 /// above [`MEMO_CAP`]) get an empty table and execute every sample. This
 /// memo and the VM's own call memo (see [`vm::Vm`]), not VM dispatch, are
 /// where most of the compiled Monte-Carlo speedup comes from; the call
-/// memo lives in `machine`, so it spans the same call. A hit re-emits the
-/// run's telemetry (`core.interp.evals`, `core.interp.fuel_per_eval`), so
-/// the trace cannot reveal the reuse.
+/// memo lives in the engine, so it spans the same call. A hit re-emits the
+/// run's telemetry, so the trace cannot reveal the reuse.
 ///
 /// The tree-walk stays memo-free on purpose: it is the reference the
-/// memoized path is differentially tested against.
+/// memoized path is differentially tested against, so under it every
+/// sample draws a named assignment and executes.
 struct AssignmentMemo<'p> {
-    machine: vm::Vm<'p>,
+    engine: Engine<'p>,
     /// Per program ECV slot, the sampler slot it reads (`None` when the
     /// environment does not declare it).
     binding: Vec<Option<usize>>,
     /// The current draw, one value per sampler slot.
     values: Vec<EcvValue>,
-    /// Calibrated energy and fuel used, per assignment index; empty when
-    /// the space is continuous or larger than [`MEMO_CAP`].
+    /// Calibrated energy and fuel used, per assignment index; empty under
+    /// the tree-walk or when the space is continuous or past [`MEMO_CAP`].
     seen: Vec<Option<(Energy, u64)>>,
     /// Samples that executed the program.
     #[cfg(test)]
@@ -747,15 +764,22 @@ struct AssignmentMemo<'p> {
 }
 
 impl<'p> AssignmentMemo<'p> {
-    fn new(program: &'p vm::Program, call: &McCall<'_>) -> Self {
-        let space = call.sampler.space().filter(|&n| n <= MEMO_CAP);
+    fn new(engine: Engine<'p>, call: &McCall<'_>) -> Self {
+        let (binding, space) = match &engine {
+            Engine::Vm(machine) => (
+                machine
+                    .program()
+                    .ecv_names
+                    .iter()
+                    .map(|name| call.env.slot_of(name))
+                    .collect(),
+                call.sampler.space().filter(|&n| n <= MEMO_CAP),
+            ),
+            Engine::Walk(_) => (Vec::new(), None),
+        };
         AssignmentMemo {
-            machine: vm::Vm::new(program),
-            binding: program
-                .ecv_names
-                .iter()
-                .map(|name| call.env.slot_of(name))
-                .collect(),
+            engine,
+            binding,
             values: vec![EcvValue::Bool(false); call.sampler.len()],
             seen: vec![None; space.unwrap_or(0)],
             #[cfg(test)]
@@ -766,37 +790,40 @@ impl<'p> AssignmentMemo<'p> {
     /// Draws one assignment from `rng` and returns its calibrated energy,
     /// executing only if the assignment is new.
     fn sample(&mut self, call: &McCall<'_>, rng: &mut StdRng) -> Result<Energy> {
-        let index = call.sampler.draw(rng, &mut self.values);
-        if let Some(&Some((e, fuel_used))) = self.seen.get(index) {
-            if telemetry::enabled() {
-                telemetry::counter_add("core.interp.evals", 1);
-                telemetry::observe_ticks("core.interp.fuel_per_eval", &telemetry::FUEL, fuel_used);
+        let machine = match &mut self.engine {
+            Engine::Vm(machine) => machine,
+            walk => {
+                let assignment = call.env.sample_assignment(rng);
+                let v = walk.eval(call.func, call.args, &assignment, call.config)?;
+                return v.into_energy()?.calibrate_interned(&call.cal);
             }
-            return Ok(e);
-        }
-        #[cfg(test)]
-        {
-            self.runs += 1;
-        }
-        let (binding, values) = (&self.binding, &self.values);
-        let v = vm_eval(
-            &mut self.machine,
-            call.func,
-            call.args,
-            call.config,
-            |i, _| binding[i].map(|slot| values[slot]),
-        )?;
-        let e = v.into_energy()?.calibrate_interned(&call.cal)?;
-        if let Some(entry) = self.seen.get_mut(index) {
-            *entry = Some((e, self.machine.fuel_used()));
-        }
-        Ok(e)
+        };
+        let index = call.sampler.draw(rng, &mut self.values);
+        let (result, fuel_used) = match self.seen.get(index) {
+            Some(&Some((e, fuel_used))) => (Ok(e), fuel_used),
+            _ => {
+                #[cfg(test)]
+                {
+                    self.runs += 1;
+                }
+                let e = machine
+                    .run_with(call.func, call.args, call.config, |i, _| {
+                        self.binding[i].map(|slot| self.values[slot])
+                    })
+                    .and_then(|v| v.into_energy()?.calibrate_interned(&call.cal));
+                if let (Ok(e), Some(entry)) = (&e, self.seen.get_mut(index)) {
+                    *entry = Some((*e, machine.fuel_used()));
+                }
+                (e, machine.fuel_used())
+            }
+        };
+        record_eval(fuel_used);
+        result
     }
 }
 
 /// What every Monte-Carlo chunk of one sampling call shares.
 struct McCall<'a> {
-    iface: &'a Interface,
     func: &'a str,
     args: &'a [Value],
     env: &'a EcvEnv,
@@ -812,9 +839,7 @@ struct McCall<'a> {
 impl<'a> McCall<'a> {
     /// Opens the call's `Mc` span for `n` samples and captures the shared
     /// state.
-    #[allow(clippy::too_many_arguments)]
     fn open(
-        iface: &'a Interface,
         func: &'a str,
         args: &'a [Value],
         env: &'a EcvEnv,
@@ -826,7 +851,6 @@ impl<'a> McCall<'a> {
         sp.add_items(n as u64);
         telemetry::counter_add("core.interp.mc_samples", n as u64);
         let call = McCall {
-            iface,
             func,
             args,
             env,
@@ -840,13 +864,12 @@ impl<'a> McCall<'a> {
     }
 
     /// Evaluates chunk `chunk_index`: `len` samples drawn from the chunk's
-    /// own deterministic stream, through `memo` when the call is compiled
-    /// and on the tree-walk otherwise.
+    /// own deterministic stream through `memo`.
     fn chunk(
         &self,
         chunk_index: u64,
         len: usize,
-        mut memo: Option<&mut AssignmentMemo<'_>>,
+        memo: &mut AssignmentMemo<'_>,
     ) -> Result<Vec<Energy>> {
         // Indexed span: keyed by the deterministic chunk index and rooted
         // at the call's path, so the trace is identical whether this
@@ -857,21 +880,7 @@ impl<'a> McCall<'a> {
         let mut rng = StdRng::seed_from_u64(mc_chunk_seed(self.seed, chunk_index));
         let mut out = Vec::with_capacity(len);
         for _ in 0..len {
-            let e = match memo.as_deref_mut() {
-                Some(m) => m.sample(self, &mut rng)?,
-                None => {
-                    let assignment = self.env.sample_assignment(&mut rng);
-                    eval_with_assignment(
-                        self.iface,
-                        self.func,
-                        self.args,
-                        &assignment,
-                        self.config,
-                    )?
-                    .into_energy()?
-                    .calibrate_interned(&self.cal)?
-                }
-            };
+            let e = memo.sample(self, &mut rng)?;
             telemetry::observe(
                 "core.interp.sample_energy_j",
                 &telemetry::ENERGY_J,
@@ -900,15 +909,16 @@ pub fn monte_carlo(
     seed: u64,
     config: &EvalConfig,
 ) -> Result<EnergyDist> {
-    let program = prepare_engine(iface, config)?;
-    let (_sp, call) = McCall::open(iface, func, args, env, n, seed, config);
-    let mut memo = program.as_deref().map(|p| AssignmentMemo::new(p, &call));
-    let mut samples = Vec::with_capacity(n);
-    for (chunk_index, start) in (0..n).step_by(MC_CHUNK).enumerate() {
-        let len = MC_CHUNK.min(n - start);
-        samples.extend(call.chunk(chunk_index as u64, len, memo.as_mut())?);
-    }
-    Ok(EnergyDist::empirical(samples))
+    with_engine(iface, config, |engine| {
+        let (_sp, call) = McCall::open(func, args, env, n, seed, config);
+        let mut memo = AssignmentMemo::new(engine, &call);
+        let mut samples = Vec::with_capacity(n);
+        for (chunk_index, start) in (0..n).step_by(MC_CHUNK).enumerate() {
+            let len = MC_CHUNK.min(n - start);
+            samples.extend(call.chunk(chunk_index as u64, len, &mut memo)?);
+        }
+        Ok(EnergyDist::empirical(samples))
+    })
 }
 
 /// Parallel Monte-Carlo evaluation over a scoped `std::thread` pool.
@@ -920,7 +930,7 @@ pub fn monte_carlo(
 /// thread count or scheduling**. Errors are also deterministic: the error
 /// from the lowest-numbered failing chunk is returned, which is the same
 /// error the serial loop would have hit first. Each worker keeps its own
-/// assignment memo across the chunks it claims.
+/// engine and assignment memo across the chunks it claims.
 ///
 /// `n_threads = 0` uses the machine's available parallelism.
 #[allow(clippy::too_many_arguments)]
@@ -944,47 +954,45 @@ pub fn monte_carlo_par(
         return monte_carlo(iface, func, args, env, n, seed, config);
     }
 
-    let program = prepare_engine(iface, config)?;
-    let (_sp, call) = McCall::open(iface, func, args, env, n, seed, config);
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<Result<Vec<Energy>>>>> =
-        (0..n_chunks).map(|_| std::sync::Mutex::new(None)).collect();
-
-    let tag = telemetry::session_tag();
-    std::thread::scope(|scope| {
-        let (cursor, slots, call, program) = (&cursor, &slots, &call, program.as_deref());
-        for _ in 0..n_threads.min(n_chunks) {
-            scope.spawn(move || {
-                // Record for the caller's telemetry session, if any.
-                telemetry::adopt(tag);
-                let mut memo = program.map(|p| AssignmentMemo::new(p, call));
-                loop {
-                    let chunk_index = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if chunk_index >= n_chunks {
-                        break;
+    with_engine(iface, config, |engine| {
+        let (_sp, call) = McCall::open(func, args, env, n, seed, config);
+        let cursor = std::sync::atomic::AtomicUsize::new(0);
+        let done = parking_lot::Mutex::new(Vec::with_capacity(n_chunks));
+        let tag = telemetry::session_tag();
+        std::thread::scope(|scope| {
+            let (cursor, done, call, engine) = (&cursor, &done, &call, &engine);
+            for _ in 0..n_threads.min(n_chunks) {
+                scope.spawn(move || {
+                    // Record for the caller's telemetry session, if any.
+                    telemetry::adopt(tag);
+                    let mut memo = AssignmentMemo::new(engine.fresh(), call);
+                    loop {
+                        let chunk_index = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        if chunk_index >= n_chunks {
+                            break;
+                        }
+                        let len = MC_CHUNK.min(n - chunk_index * MC_CHUNK);
+                        let result = call.chunk(chunk_index as u64, len, &mut memo);
+                        done.lock().push((chunk_index, result));
                     }
-                    let len = MC_CHUNK.min(n - chunk_index * MC_CHUNK);
-                    let result = call.chunk(chunk_index as u64, len, memo.as_mut());
-                    *slots[chunk_index].lock().unwrap() = Some(result);
-                }
-                // Drain telemetry before the closure returns: the scope
-                // unblocks the spawner at closure return, which can be
-                // before this thread's TLS destructors (the automatic
-                // flush) have run.
-                telemetry::flush();
-            });
+                    // Drain telemetry before the closure returns: the scope
+                    // unblocks the spawner at closure return, which can be
+                    // before this thread's TLS destructors (the automatic
+                    // flush) have run.
+                    telemetry::flush();
+                });
+            }
+        });
+        // The cursor hands out each chunk index below `n_chunks` exactly
+        // once, so sorted by index these are the chunks in order.
+        let mut done = done.into_inner();
+        done.sort_unstable_by_key(|&(chunk_index, _)| chunk_index);
+        let mut samples = Vec::with_capacity(n);
+        for (_, chunk) in done {
+            samples.extend(chunk?);
         }
-    });
-
-    let mut samples = Vec::with_capacity(n);
-    for slot in slots {
-        let chunk = slot
-            .into_inner()
-            .unwrap()
-            .expect("every chunk index below n_chunks is claimed by a worker");
-        samples.extend(chunk?);
-    }
-    Ok(EnergyDist::empirical(samples))
+        Ok(EnergyDist::empirical(samples))
+    })
 }
 
 /// Batch evaluation: `iface.func(args)` for every argument set in `argsets`,
@@ -1005,27 +1013,22 @@ pub fn evaluate_batch(
     seed: u64,
     config: &EvalConfig,
 ) -> Result<Vec<Energy>> {
-    let program = prepare_engine(iface, config)?;
-    let mut machine = program.as_deref().map(vm::Vm::new);
-    let mut sp = telemetry::span(SpanKind::EnergyQuery, func);
-    sp.add_items(argsets.len() as u64);
-    telemetry::counter_add("core.interp.batch_evals", argsets.len() as u64);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let assignment = env.sample_assignment(&mut rng);
-    let cal = config.calibration.intern();
-    let mut out = Vec::with_capacity(argsets.len());
-    for args in argsets {
-        let v = match machine.as_mut() {
-            Some(m) => vm_eval(m, func, args, config, |_, name| {
-                assignment.get(name).copied()
-            })?,
-            None => eval_with_assignment(iface, func, args, &assignment, config)?,
-        };
-        let e = v.into_energy()?.calibrate_interned(&cal)?;
-        sp.record_energy(e.as_joules());
-        out.push(e);
-    }
-    Ok(out)
+    with_engine(iface, config, |mut engine| {
+        let mut sp = telemetry::span(SpanKind::EnergyQuery, func);
+        sp.add_items(argsets.len() as u64);
+        telemetry::counter_add("core.interp.batch_evals", argsets.len() as u64);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let assignment = env.sample_assignment(&mut rng);
+        let cal = config.calibration.intern();
+        let mut out = Vec::with_capacity(argsets.len());
+        for args in argsets {
+            let v = engine.eval(func, args, &assignment, config)?;
+            let e = v.into_energy()?.calibrate_interned(&cal)?;
+            sp.record_energy(e.as_joules());
+            out.push(e);
+        }
+        Ok(out)
+    })
 }
 
 /// Exact evaluation: enumerates the finite ECV space (≤ `limit` assignments)
@@ -1068,26 +1071,21 @@ pub(crate) fn enumerate_outcomes(
     config: &EvalConfig,
 ) -> Result<Vec<PathOutcome>> {
     let assignments = env.enumerate_assignments(limit)?;
-    let program = prepare_engine(iface, config)?;
-    let mut machine = program.as_deref().map(vm::Vm::new);
-    let mut sp = telemetry::span(SpanKind::EnergyQuery, func);
-    sp.add_items(assignments.len() as u64);
-    telemetry::counter_add("core.interp.exact_enumerations", 1);
-    let mut outcomes = Vec::with_capacity(assignments.len());
-    for (assignment, p) in assignments {
-        let v = match machine.as_mut() {
-            Some(m) => vm_eval(m, func, args, config, |_, name| {
-                assignment.get(name).copied()
-            })?,
-            None => eval_with_assignment(iface, func, args, &assignment, config)?,
-        };
-        outcomes.push(PathOutcome {
-            energy: v.into_energy()?.calibrate(&config.calibration)?,
-            assignment,
-            probability: p,
-        });
-    }
-    Ok(outcomes)
+    with_engine(iface, config, |mut engine| {
+        let mut sp = telemetry::span(SpanKind::EnergyQuery, func);
+        sp.add_items(assignments.len() as u64);
+        telemetry::counter_add("core.interp.exact_enumerations", 1);
+        let mut outcomes = Vec::with_capacity(assignments.len());
+        for (assignment, p) in assignments {
+            let v = engine.eval(func, args, &assignment, config)?;
+            outcomes.push(PathOutcome {
+                energy: v.into_energy()?.calibrate(&config.calibration)?,
+                assignment,
+                probability: p,
+            });
+        }
+        Ok(outcomes)
+    })
 }
 
 /// The expected (mean) energy of `iface.func(args)`.
@@ -1115,6 +1113,8 @@ mod kernel_oracle;
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::ast::ExternDecl;
     use crate::ecv::{DistSpec, EcvDecl};
@@ -1597,9 +1597,9 @@ mod tests {
         assert!(e.as_joules() > 0.0);
     }
 
-    /// Every sampling driver on one interface reuses the program the first
-    /// one compiled: the stored `Arc` is never replaced while the content
-    /// is unchanged. The tree-walk compiles nothing.
+    /// Every driver on one interface reuses the program the first one
+    /// compiled: the stored `Arc` is never replaced while the content is
+    /// unchanged. The tree-walk compiles nothing.
     #[test]
     fn drivers_compile_each_interface_once() {
         let iface = fig1();
@@ -1607,6 +1607,7 @@ mod tests {
         let args = [request(1024.0, 0.0)];
         let argsets = [args.to_vec(), vec![request(64.0, 8.0)]];
         let run_all = |config: &EvalConfig| {
+            evaluate_energy(&iface, "handle", &args, &env, 5, config).unwrap();
             monte_carlo(&iface, "handle", &args, &env, 256, 1, config).unwrap();
             monte_carlo(&iface, "handle", &args, &env, 256, 2, config).unwrap();
             monte_carlo_par(&iface, "handle", &args, &env, 256, 3, 2, config).unwrap();
@@ -1632,6 +1633,25 @@ mod tests {
             first.fingerprint(),
             vm::compile(&iface).unwrap().fingerprint()
         );
+    }
+
+    /// Single-shot evaluation runs the carried program too: one
+    /// `evaluate_energy` leaves a compiled program in a fresh interface's
+    /// cell under `Auto`, and none under `TreeWalk`.
+    #[test]
+    fn single_shot_runs_the_carried_program() {
+        let mut config = cfg();
+        config.calibration = fig1_calibration();
+        for (mode, compiled) in [(ExecMode::TreeWalk, false), (ExecMode::Auto, true)] {
+            let iface = fig1();
+            let config = EvalConfig {
+                mode,
+                ..config.clone()
+            };
+            let args = [request(1024.0, 0.0)];
+            evaluate_energy(&iface, "handle", &args, &iface.ecv_env(), 1, &config).unwrap();
+            assert_eq!(iface.carried.stored().is_some(), compiled, "{mode:?}");
+        }
     }
 
     /// The assignment memo runs the program at most once per assignment of
@@ -1663,10 +1683,10 @@ mod tests {
             let program = vm::compile(&iface).unwrap();
             let env = iface.ecv_env();
             let config = cfg();
-            let (_sp, call) = McCall::open(&iface, "f", &[], &env, n, 9, &config);
-            let mut memo = AssignmentMemo::new(&program, &call);
+            let (_sp, call) = McCall::open("f", &[], &env, n, 9, &config);
+            let mut memo = AssignmentMemo::new(Engine::Vm(vm::Vm::new(&program)), &call);
             for chunk in 0..n / MC_CHUNK {
-                call.chunk(chunk as u64, MC_CHUNK, Some(&mut memo)).unwrap();
+                call.chunk(chunk as u64, MC_CHUNK, &mut memo).unwrap();
             }
             let stored = memo.seen.iter().filter(|e| e.is_some()).count() as u64;
             match space {

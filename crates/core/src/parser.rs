@@ -36,6 +36,7 @@
 //! pass can point at real source coordinates.
 //!
 //! [`sema`]: crate::sema
+//! [`SpanTable`]: crate::span::SpanTable
 
 use std::collections::BTreeSet;
 

@@ -160,6 +160,37 @@ pub struct Program {
     pub chunks: Vec<Chunk>,
     /// Function name → chunk id.
     pub fn_ids: BTreeMap<String, u32>,
+    /// Per chunk: true when neither it nor anything it can call reads an
+    /// ECV, so its result depends on its arguments alone. Derived from
+    /// `chunks` once per compile; only the VM's call memo reads it.
+    pub(crate) ecv_free: Vec<bool>,
+}
+
+/// Marks the chunks whose closure over `Call` edges contains no
+/// `Instr::Ecv`: start from the chunks that read none directly, then clear
+/// every chunk that calls a cleared one until nothing changes.
+pub(crate) fn ecv_free_chunks(chunks: &[Chunk]) -> Vec<bool> {
+    let mut free: Vec<bool> = chunks
+        .iter()
+        .map(|c| !c.code.iter().any(|i| matches!(i, Instr::Ecv { .. })))
+        .collect();
+    loop {
+        let mut changed = false;
+        for (id, chunk) in chunks.iter().enumerate() {
+            if free[id]
+                && chunk
+                    .code
+                    .iter()
+                    .any(|i| matches!(i, Instr::Call { f, .. } if !free[*f as usize]))
+            {
+                free[id] = false;
+                changed = true;
+            }
+        }
+        if !changed {
+            return free;
+        }
+    }
 }
 
 impl Program {

@@ -30,9 +30,10 @@
 //!   the sampler loads the ECV slots straight from its flat draw through
 //!   `Vm::run_with`; [`Vm::run`] is the same loader fed from a named map.
 //!
-//! Neither memo is process-wide: both live exactly as long as one call of
-//! `evaluate_batch`, `monte_carlo` or `enumerate_exact` (or one
-//! `monte_carlo_par` worker).
+//! Neither memo is process-wide: both live exactly as long as one driver
+//! call (a single-shot evaluation, `evaluate_batch`, `monte_carlo` or
+//! `enumerate_exact`) or one `monte_carlo_par` worker. Which calls are
+//! memoizable is worked out once per compiled program (`Program::ecv_free`).
 //!
 //! The call memo keeps the tree-walk's observable behaviour exactly. Only
 //! successful calls are stored, each with the fuel it consumed and the
@@ -98,9 +99,6 @@ pub struct Vm<'p> {
     fuel: u64,
     fuel_limit: u64,
     max_depth: usize,
-    /// Per chunk: true when neither it nor anything it can call reads an
-    /// ECV, so its result depends on its arguments alone.
-    ecv_free: Vec<bool>,
     /// The call memo: [`Vm::memo_key`] encodings, each indexing `entries`.
     /// The table keeps up to twice as many slots as entries, so its slots
     /// hold an index, not the entry.
@@ -116,34 +114,6 @@ pub struct Vm<'p> {
     counts: (u64, u64),
 }
 
-/// Marks the chunks whose closure over `Call` edges contains no
-/// `Instr::Ecv`: start from the chunks that read none directly, then clear
-/// every chunk that calls a cleared one until nothing changes.
-fn ecv_free_chunks(program: &Program) -> Vec<bool> {
-    let mut free: Vec<bool> = program
-        .chunks
-        .iter()
-        .map(|c| !c.code.iter().any(|i| matches!(i, Instr::Ecv { .. })))
-        .collect();
-    loop {
-        let mut changed = false;
-        for (id, chunk) in program.chunks.iter().enumerate() {
-            if free[id]
-                && chunk
-                    .code
-                    .iter()
-                    .any(|i| matches!(i, Instr::Call { f, .. } if !free[*f as usize]))
-            {
-                free[id] = false;
-                changed = true;
-            }
-        }
-        if !changed {
-            return free;
-        }
-    }
-}
-
 impl<'p> Vm<'p> {
     /// Creates an executor for `program` with empty state.
     pub fn new(program: &'p Program) -> Vm<'p> {
@@ -156,7 +126,6 @@ impl<'p> Vm<'p> {
             fuel: 0,
             fuel_limit: 0,
             max_depth: 0,
-            ecv_free: ecv_free_chunks(program),
             calls: HashMap::new(),
             entries: Vec::new(),
             key: Vec::new(),
@@ -171,6 +140,11 @@ impl<'p> Vm<'p> {
     #[cfg(test)]
     pub(crate) fn call_counts(&self) -> (u64, u64) {
         self.counts
+    }
+
+    /// The program this executor runs.
+    pub(crate) fn program(&self) -> &'p Program {
+        self.program
     }
 
     /// Fuel consumed by the most recent [`Vm::run`] call.
@@ -345,7 +319,7 @@ impl<'p> Vm<'p> {
             self.counts.0 += 1;
         }
         self.peak = self.peak.max(depth);
-        let memoizable = self.ecv_free[f as usize] && self.memo_key(f, args, n);
+        let memoizable = self.program.ecv_free[f as usize] && self.memo_key(f, args, n);
         if memoizable {
             if let Some(&i) = self.calls.get(self.key.as_slice()) {
                 let hit = &self.entries[i as usize];

@@ -81,6 +81,7 @@ pub fn compile(iface: &Interface) -> Result<Program> {
         units: units.into_iter().collect(),
         ecv_names,
         externs: iface.externs.keys().cloned().collect(),
+        ecv_free: super::chunk::ecv_free_chunks(&chunks),
         chunks,
         fn_ids,
     };

@@ -28,9 +28,9 @@
 //!
 //! The interpreter stays authoritative: `tests/vm_differential.rs` and
 //! `tests/vm_errors.rs` hold the two engines bit-identical on generated
-//! and adversarial inputs. The sampling drivers in [`crate::interp`] run
-//! this VM by default; [`crate::interp::ExecMode::TreeWalk`] selects the
-//! reference instead.
+//! and adversarial inputs. Every driver in [`crate::interp`] runs this VM
+//! by default; [`crate::interp::ExecMode::TreeWalk`] selects the reference
+//! instead.
 
 mod chunk;
 mod disasm;
@@ -91,6 +91,8 @@ mod testing {
             externs: BTreeSet::new(),
             chunks: vec![chunk],
             fn_ids: [("f".to_string(), 0u32)].into_iter().collect(),
+            // Never executed; `false` would only keep the call memo off.
+            ecv_free: vec![false],
         }
     }
 
@@ -679,18 +681,28 @@ mod tests {
         }
     }
 
+    /// Every driver, single-shot included, answers the same on both
+    /// engines, and the telemetry trace does not reveal which one ran.
     #[test]
-    fn sampling_drivers_match_across_modes() {
+    fn drivers_match_across_modes() {
         let iface = parse(KITCHEN_SINK).unwrap();
         let env = EcvEnv::from_decls(&iface.ecvs);
         let cal = Calibration::from_pairs([("page", Energy::microjoules(25.0))]);
         let args = [Value::Num(3.0)];
+        let ecvs = BTreeMap::from([
+            ("hit".to_string(), EcvValue::Bool(true)),
+            ("scale".to_string(), EcvValue::Num(1.5)),
+        ]);
         let run = |mode: ExecMode| {
             let cfg = EvalConfig {
                 calibration: cal.clone(),
                 mode,
                 ..EvalConfig::default()
             };
+            let session = ei_telemetry::session();
+            let single = interp::evaluate_energy(&iface, "sampled", &args, &env, 7, &cfg).unwrap();
+            let value =
+                interp::eval_with_assignment(&iface, "sampled", &args, &ecvs, &cfg).unwrap();
             let mc = interp::monte_carlo(&iface, "sampled", &args, &env, 300, 7, &cfg).unwrap();
             let par =
                 interp::monte_carlo_par(&iface, "sampled", &args, &env, 300, 7, 4, &cfg).unwrap();
@@ -705,7 +717,7 @@ mod tests {
             let finite_env = EcvEnv::from_decls(&finite);
             let exact =
                 interp::enumerate_exact(&iface, "unit_loop", &[], &finite_env, 64, &cfg).unwrap();
-            (mc, batch, exact)
+            ((single, value, mc, batch, exact), session.finish())
         };
         let walk = run(ExecMode::TreeWalk);
         let auto = run(ExecMode::Auto);

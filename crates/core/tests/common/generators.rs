@@ -1,8 +1,9 @@
 //! Shared proptest generators for EIL interfaces.
 //!
 //! Used by the core property suite (`crates/core/tests/proptests.rs`) and
-//! the workspace-level VM differential suite (`tests/vm_differential.rs`)
-//! via `#[path]` includes, so both test the same distribution of programs.
+//! the workspace-level engine suites (`tests/vm_differential.rs`,
+//! `tests/engine_properties.rs`) via `#[path]` includes, so all of them
+//! test the same distribution of programs.
 
 #![allow(dead_code)]
 
@@ -84,19 +85,25 @@ pub fn arb_numeric_interface() -> impl Strategy<Value = Interface> {
     })
 }
 
+/// A distribution parameter: an [`arb_lit`] or any float in `[0, 100)`,
+/// whose shortest printed form round-trips too.
+fn arb_dist_value() -> impl Strategy<Value = f64> {
+    prop_oneof![arb_lit(), 0.0f64..100.0]
+}
+
 pub fn arb_dist_spec() -> impl Strategy<Value = DistSpec> {
     prop_oneof![
         (0.0f64..=1.0).prop_map(|p| DistSpec::Bernoulli { p }),
-        (arb_lit(), arb_lit()).prop_map(|(a, b)| DistSpec::Uniform {
+        (arb_dist_value(), arb_dist_value()).prop_map(|(a, b)| DistSpec::Uniform {
             lo: a.min(b),
             hi: a.max(b)
         }),
-        (arb_lit(), 0.0f64..5.0).prop_map(|(m, s)| DistSpec::Normal {
+        (arb_dist_value(), 0.0f64..5.0).prop_map(|(m, s)| DistSpec::Normal {
             mean: m,
             std_dev: s
         }),
-        arb_lit().prop_map(|v| DistSpec::Point { value: v }),
-        proptest::collection::vec((arb_lit(), 1u32..5), 1..4).prop_map(|raw| {
+        arb_dist_value().prop_map(|v| DistSpec::Point { value: v }),
+        proptest::collection::vec((arb_dist_value(), 1u32..5), 1..4).prop_map(|raw| {
             let total: u32 = raw.iter().map(|(_, w)| w).sum();
             DistSpec::Discrete {
                 outcomes: raw

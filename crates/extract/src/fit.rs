@@ -187,6 +187,8 @@ pub struct InterfaceFitReport {
 /// from the raw linear model. This evaluates the interface itself on every
 /// argument set — in a single [`evaluate_batch`] call — and reports the
 /// residuals against `measured`.
+///
+/// [`evaluate_batch`]: ei_core::interp::evaluate_batch
 pub fn validate_interface(
     iface: &ei_core::interface::Interface,
     func: &str,

@@ -223,9 +223,8 @@ fn place_impl(
     let mut energy = Energy::ZERO;
     let mut assignments = Vec::new();
     let mut unplaced = 0;
-    // Single-shot candidate queries stay on the tree-walk (the default
-    // engine does not compile a single evaluation); repeats across apps
-    // are absorbed by the energy cache rather than by compiling per call.
+    // Single-shot candidate queries run each node's carried program;
+    // repeats across apps are answered by the energy cache.
     let cfg = EvalConfig::default();
     let env = EcvEnv::new();
     let cache = EvalCache::new();

@@ -301,7 +301,7 @@ impl RecalFrontend {
     /// Brings up the frontend and publishes version 0 of the interface,
     /// fitted against the *healthy* device with the given expected path
     /// mixture (measure it with [`pilot_mixture`], or reuse a prior
-    /// run's [`FrontendStats::mixture`]).
+    /// run's [`FrontendStats::mixture`](crate::frontend::FrontendStats::mixture)).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         gpu: GpuConfig,

@@ -3,7 +3,7 @@
 //!
 //! # Architecture
 //!
-//! Every instrumented thread owns a private [`LocalSink`] (a
+//! Every instrumented thread owns a private `LocalSink` (a
 //! `thread_local!` cell): counters, histograms, and span aggregates are
 //! recorded there with no locks and no allocation on the
 //! counter/histogram hot path. The only synchronization on a record is

@@ -25,41 +25,13 @@ use ei_core::value::Value;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+#[path = "../crates/core/tests/common/generators.rs"]
+mod generators;
+use generators::{arb_dist_spec, arb_ident};
+
 // ---------------------------------------------------------------------------
 // Generators
 // ---------------------------------------------------------------------------
-
-fn arb_ident() -> impl Strategy<Value = String> {
-    "[a-z][a-z0-9_]{0,6}".prop_filter("not a keyword/builtin/suffix", |s| {
-        !ei_core::parser::KEYWORDS.contains(&s.as_str())
-            && Builtin::from_name(s).is_none()
-            && !["mj", "uj", "nj", "pj", "kj", "j", "wh"].contains(&s.as_str())
-    })
-}
-
-fn arb_dist_spec() -> impl Strategy<Value = DistSpec> {
-    prop_oneof![
-        (0.0f64..=1.0).prop_map(|p| DistSpec::Bernoulli { p }),
-        (0.0f64..100.0, 0.0f64..100.0).prop_map(|(a, b)| DistSpec::Uniform {
-            lo: a.min(b),
-            hi: a.max(b)
-        }),
-        (0.0f64..50.0, 0.0f64..5.0).prop_map(|(m, s)| DistSpec::Normal {
-            mean: m,
-            std_dev: s
-        }),
-        (0.0f64..100.0).prop_map(|v| DistSpec::Point { value: v }),
-        proptest::collection::vec((0.0f64..100.0, 1u32..5), 1..4).prop_map(|raw| {
-            let total: u32 = raw.iter().map(|(_, w)| w).sum();
-            DistSpec::Discrete {
-                outcomes: raw
-                    .into_iter()
-                    .map(|(v, w)| (v, w as f64 / total as f64))
-                    .collect(),
-            }
-        }),
-    ]
-}
 
 /// An interface whose `f(x)` mixes every declared ECV into the result, so
 /// Monte-Carlo output is sensitive to the exact per-sample RNG stream.
