@@ -1,19 +1,15 @@
 //! E10: the cluster-scale load-balancing experiment.
 //!
-//! Runs 1M requests through a 100-node cluster (or the 10-node/10k smoke
-//! shape with `E10_SMOKE=1`) under the E10 fault plan, comparing the
-//! energy-interface balancer against the utilization baseline.
+//! Runs 1M requests through a 100-node cluster under the E10 fault plan,
+//! comparing the energy-interface balancer against the utilization
+//! baseline. The 10-node/10k smoke shape runs in `repro_all` and the
+//! golden tests.
 //!
 //! Writes the report as JSON to `BENCH_cluster.json` (override the path
 //! with `BENCH_CLUSTER_OUT`; set it empty to skip) so CI can archive it,
 //! and exits non-zero if determinism or the policy win is violated.
 fn main() {
-    let cfg = if std::env::var("E10_SMOKE").as_deref() == Ok("1") {
-        ei_bench::cluster::E10Config::smoke()
-    } else {
-        ei_bench::cluster::E10Config::full()
-    };
-    let report = ei_bench::cluster::run_with(&cfg);
+    let report = ei_bench::cluster::run_with(&ei_bench::cluster::E10Config::full());
     println!("{}", ei_bench::cluster::render(&report));
 
     assert!(report.replay_identical, "E10 replay must be bit-identical");

@@ -1,8 +1,9 @@
 //! E11: live recalibration and atomic interface hot-swap under drift.
 //!
 //! Runs the drift → detect → refit → gate → swap → rollback pipeline
-//! over the Fig. 1 service at the full shape (or the shorter smoke
-//! shape with `E11_SMOKE=1`), plus the cluster-scale DES hot-swap row.
+//! over the Fig. 1 service at the full shape, plus the cluster-scale DES
+//! hot-swap row. The shorter smoke shape runs in `repro_all` and the
+//! golden tests.
 //!
 //! Writes the report as JSON to `BENCH_drift.json` (override the path
 //! with `BENCH_DRIFT_OUT`; set it empty to skip) so CI can archive it,
@@ -11,12 +12,7 @@
 //! swaps under meter dropouts, an exercised rollback, zero dropped
 //! requests, and bit-identical replay.
 fn main() {
-    let cfg = if std::env::var("E11_SMOKE").as_deref() == Ok("1") {
-        ei_bench::drift::E11Config::smoke()
-    } else {
-        ei_bench::drift::E11Config::full()
-    };
-    let report = ei_bench::drift::run_with(&cfg);
+    let report = ei_bench::drift::run_with(&ei_bench::drift::E11Config::full());
     println!("{}", ei_bench::drift::render(&report));
 
     for row in [

@@ -6,8 +6,8 @@
 //! evaluated through the compiled VM), derives the Pareto frontier and the
 //! SLO-optimal operating point from the predictions, and validates every
 //! swept point against the continuous-batching engine on the simulated
-//! GPU. Runs the full sweep, or the four-point smoke shape with
-//! `E12_SMOKE=1`.
+//! GPU. Runs the full sweep; the four-point smoke shape runs in
+//! `repro_all` and the golden tests.
 //!
 //! Writes the report as JSON to `BENCH_llm.json` (override the path with
 //! `BENCH_LLM_OUT`; set it empty to skip) so CI can archive it, and exits
@@ -16,12 +16,7 @@
 //! bound without losing to the max-throughput default, and bit-identical
 //! ground-truth replay.
 fn main() {
-    let cfg = if std::env::var("E12_SMOKE").as_deref() == Ok("1") {
-        ei_bench::llm_pareto::E12Config::smoke()
-    } else {
-        ei_bench::llm_pareto::E12Config::full()
-    };
-    let report = ei_bench::llm_pareto::run_with(&cfg);
+    let report = ei_bench::llm_pareto::run_with(&ei_bench::llm_pareto::E12Config::full());
     println!("{}", ei_bench::llm_pareto::render(&report));
 
     assert!(

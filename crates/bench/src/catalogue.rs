@@ -8,6 +8,7 @@
 use ei_core::interface::Interface;
 use ei_core::units::{Calibration, Energy};
 use ei_hw::cpu::big_little;
+use ei_hw::faults::FaultState;
 use ei_hw::gpu::{rtx3070, rtx4090};
 use ei_hw::interfaces::{cpu_interface, gpu_interface, gpu_interface_dvfs, nic_interface};
 use ei_hw::nic::{datacenter_nic, wifi_radio};
@@ -18,7 +19,7 @@ use ei_sched::cluster::{bigmem_node, compute_node};
 use ei_sched::fuzz::default_campaign;
 use ei_sched::provision::bursty_server_interface;
 use ei_service::{
-    calibrate_with_fault, fig1_calibration, fig1_faulted_calibration, fig1_interface,
+    calibrate_with_state, fig1_calibration, fig1_faulted_calibration, fig1_interface,
     fig1_interface_faulted, CacheEnergy, FaultMixture,
 };
 
@@ -29,9 +30,8 @@ use crate::table1::fitted_gpt2_interface;
 pub struct Entry {
     /// Name in the gate's reports (several entries may share one).
     pub name: &'static str,
-    /// The top interface first, then the providers it links against. A
-    /// program whose later interfaces provide none of its externs lists
-    /// peers published together.
+    /// The top interface first, then the providers it links against:
+    /// each later interface resolves at least one extern of the first.
     pub program: Vec<Interface>,
     /// The deployed calibration.
     pub calibration: Calibration,
@@ -59,8 +59,13 @@ pub fn catalogue() -> Vec<Entry> {
     // The Fig. 1 web service: healthy, with the calibration the service
     // measures, and fault-conditioned (§3 / E9), with a representative
     // measured mixture and a browned-leaf calibration.
-    let cal = fig1::service().calibrate_cnn();
-    let cal_br = calibrate_with_fault(&rtx4090(), 0.85, 0.25).expect("probe fits");
+    let cal = fig1::calibration();
+    let browned = FaultState {
+        gpu_derate: 0.85,
+        gpu_sm_loss: 0.25,
+        ..FaultState::healthy()
+    };
+    let cal_br = calibrate_with_state(&rtx4090(), &browned).expect("probe fits");
     let nic = datacenter_nic();
     let cache = CacheEnergy::default();
     let healthy = fig1_interface(0.25, 0.8, &cal, &cache, nic.e_byte, nic.e_packet);
@@ -81,11 +86,13 @@ pub fn catalogue() -> Vec<Entry> {
         entry("hw: vendor CPU core", vec![cpu_interface(&big)], none()),
         entry("hw: vendor CPU core", vec![cpu_interface(&little)], none()),
         entry(
-            "hw: vendor NICs",
-            vec![
-                nic_interface("datacenter", &datacenter_nic()),
-                nic_interface("wifi", &wifi_radio()),
-            ],
+            "hw: vendor NIC",
+            vec![nic_interface("datacenter", &datacenter_nic())],
+            none(),
+        ),
+        entry(
+            "hw: vendor NIC",
+            vec![nic_interface("wifi", &wifi_radio())],
             none(),
         ),
         // GPT-2 inference over the vendor GPU (§5), and open.
@@ -135,8 +142,13 @@ pub fn catalogue() -> Vec<Entry> {
         ),
         // Scheduling examples (§1, §4.3).
         entry(
-            "sched: node interfaces",
-            vec![compute_node().interface(), bigmem_node().interface()],
+            "sched: node interface",
+            vec![compute_node().interface()],
+            none(),
+        ),
+        entry(
+            "sched: node interface",
+            vec![bigmem_node().interface()],
             none(),
         ),
         entry(
@@ -150,4 +162,28 @@ pub fn catalogue() -> Vec<Entry> {
             none(),
         ),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The gate links each program top-first, so an interface that
+    /// provides nothing to the first would go unjudged: peers published
+    /// together are separate entries.
+    #[test]
+    fn every_later_interface_provides_for_the_first() {
+        for e in catalogue() {
+            let top = &e.program[0];
+            for provider in &e.program[1..] {
+                assert!(
+                    top.externs.keys().any(|x| provider.fns().contains_key(x)),
+                    "{}: {} resolves no extern of {}",
+                    e.name,
+                    provider.name,
+                    top.name
+                );
+            }
+        }
+    }
 }

@@ -12,9 +12,9 @@ use ei_core::parser::parse;
 use ei_core::units::{Energy, Power, TimeSpan};
 use ei_core::value::Value;
 use ei_extract::bugs::{detect_energy_bugs, DetectorConfig};
-use ei_hw::faults::standard_matrix;
-use ei_hw::gpu::{rtx4090, GpuSim};
-use ei_hw::nic::{datacenter_nic, NicSim};
+use ei_hw::faults::{standard_matrix, FaultState};
+use ei_hw::gpu::rtx4090;
+use ei_hw::nic::datacenter_nic;
 use ei_sched::cluster::{mixed_pods, place, Cluster, Policy};
 use ei_sched::eas::{marginal_energy, run_schedule, Predictor, SchedConfig, TaskSpec};
 use ei_sched::fuzz::{default_campaign, plan, simulate_campaign};
@@ -22,11 +22,12 @@ use ei_sched::provision::{
     bursty_server_interface, provision, workload_from_interface, ProvisionPolicy,
 };
 use ei_service::{
-    calibrate_with_fault, fig1_calibration, fig1_faulted_calibration, fig1_interface,
-    fig1_interface_faulted, request_stream, CacheEnergy, FrontendConfig, MlWebService,
-    ServiceFrontend,
+    calibrate_with_state, fig1_calibration, fig1_faulted_calibration, fig1_interface,
+    fig1_interface_faulted, request_stream, CacheEnergy, FrontendConfig, ServiceFrontend,
 };
 use serde::Serialize;
+
+use crate::fig1;
 
 // ---------------------------------------------------------------------------
 // E1: EAS — utilization proxy vs energy interface
@@ -377,24 +378,13 @@ pub struct BugHuntReport {
 /// disabled (a classic energy bug: functionally correct, energetically
 /// broken).
 pub fn run_bughunt() -> BugHuntReport {
-    let build_service = || {
-        MlWebService::new(
-            GpuSim::new(rtx4090()),
-            NicSim::new(datacenter_nic()),
-            256,
-            4096,
-        )
-        .expect("service fits")
-    };
-
     // Calibrate and measure hit rates on a healthy service.
-    let mut healthy = build_service();
-    let cal = healthy.calibrate_cnn();
+    let mut healthy = fig1::service(256, 4096);
+    let cal = fig1::calibration();
     let stream = request_stream(1500, 200, 0.6, 16384, 0.25, 99);
-    for req in &stream {
-        healthy.handle(*req, TimeSpan::millis(5.0));
-    }
-    let (p_hit, p_local) = healthy.measured_hit_rates();
+    healthy.run(&stream, TimeSpan::millis(5.0));
+    let mix = healthy.stats().mixture();
+    let (p_hit, p_local) = (mix.p_request_hit, mix.p_local_hit);
     let nic = datacenter_nic();
     let iface = fig1_interface(
         p_hit,
@@ -424,12 +414,8 @@ pub fn run_bughunt() -> BugHuntReport {
 
     // Energy bug: the cache is "accidentally" disabled (capacity 1/1):
     // every request recomputes the CNN.
-    let mut broken = MlWebService::new(GpuSim::new(rtx4090()), NicSim::new(datacenter_nic()), 1, 1)
-        .expect("service fits");
-    broken.calibrate_cnn();
-    for req in &stream {
-        broken.handle(*req, TimeSpan::millis(5.0));
-    }
+    let mut broken = fig1::service(1, 1);
+    broken.run(&stream, TimeSpan::millis(5.0));
     let broken_mean = broken.mean_request_energy();
     let broken_report =
         detect_energy_bugs(&iface, "handle", &inputs, &det_cfg, |_| broken_mean).unwrap();
@@ -675,7 +661,7 @@ pub struct FaultRow {
 pub fn run_faults() -> Vec<FaultRow> {
     let horizon = TimeSpan::seconds(10.0);
     let stream = request_stream(2000, 200, 0.6, 16384, 0.25, 42);
-    let cal = calibrate_with_fault(&rtx4090(), 1.0, 0.0).expect("model fits");
+    let cal = fig1::calibration();
     let nic_cfg = datacenter_nic();
     let req = Value::num_record([
         ("image_id", 1.0),
@@ -701,7 +687,12 @@ pub fn run_faults() -> Vec<FaultRow> {
         // The browned leaf calibration comes from a probe device pinned to
         // the plan's worst brownout (healthy plans reuse the healthy one).
         let (derate, sm_loss) = fe.plan().worst_brownout().unwrap_or((1.0, 0.0));
-        let cal_br = calibrate_with_fault(&rtx4090(), derate, sm_loss).expect("model fits");
+        let browned = FaultState {
+            gpu_derate: derate,
+            gpu_sm_loss: sm_loss,
+            ..FaultState::healthy()
+        };
+        let cal_br = calibrate_with_state(&rtx4090(), &browned).expect("model fits");
         let iface = fig1_interface_faulted(
             &mix,
             &cal,

@@ -7,9 +7,13 @@ use ei_core::interp::{enumerate_exact, EvalConfig};
 use ei_core::pretty::print_interface;
 use ei_core::units::TimeSpan;
 use ei_core::value::Value;
-use ei_hw::gpu::{rtx4090, GpuSim};
-use ei_hw::nic::{datacenter_nic, NicSim};
-use ei_service::{fig1_calibration, fig1_interface, request_stream, CacheEnergy, MlWebService};
+use ei_hw::faults::{FaultPlan, FaultState};
+use ei_hw::gpu::rtx4090;
+use ei_hw::nic::datacenter_nic;
+use ei_service::{
+    calibrate_with_state, fig1_calibration, fig1_interface, request_stream, CacheEnergy,
+    CnnCalibration, FrontendConfig, ServiceFrontend,
+};
 use serde::Serialize;
 
 /// Outcome of the Fig. 1 validation run.
@@ -33,26 +37,39 @@ pub struct Fig1Report {
     pub model_opt_sweep: Vec<(f64, f64)>,
 }
 
-/// The Fig. 1 web service on an RTX 4090 and a datacenter NIC.
-pub(crate) fn service() -> MlWebService {
-    MlWebService::new(
-        GpuSim::new(rtx4090()),
-        NicSim::new(datacenter_nic()),
-        256,
-        4096,
+/// The Fig. 1 web service as drawn: one healthy replica on an RTX 4090
+/// and a datacenter NIC, with the given cache tier capacities (entries).
+pub(crate) fn service(local_entries: usize, remote_entries: usize) -> ServiceFrontend {
+    ServiceFrontend::new(
+        rtx4090(),
+        datacenter_nic(),
+        local_entries,
+        remote_entries,
+        FaultPlan::healthy(0),
+        FrontendConfig {
+            replicas: 1,
+            ..FrontendConfig::default()
+        },
     )
     .expect("service fits")
 }
 
+/// The CNN leaf calibration of the Fig. 1 service's healthy accelerator.
+pub(crate) fn calibration() -> CnnCalibration {
+    calibrate_with_state(&rtx4090(), &FaultState::healthy()).expect("probe fits")
+}
+
 /// Runs the Fig. 1 experiment.
 pub fn run() -> Fig1Report {
-    let mut svc = service();
-    let cal = svc.calibrate_cnn();
+    let mut svc = service(256, 4096);
+    let cal = calibration();
 
-    for req in request_stream(3000, 200, 0.6, 16384, 0.25, 42) {
-        svc.handle(req, TimeSpan::millis(5.0));
-    }
-    let (p_hit, p_local) = svc.measured_hit_rates();
+    svc.run(
+        &request_stream(3000, 200, 0.6, 16384, 0.25, 42),
+        TimeSpan::millis(5.0),
+    );
+    let mix = svc.stats().mixture();
+    let (p_hit, p_local) = (mix.p_request_hit, mix.p_local_hit);
     let nic = datacenter_nic();
     let iface = fig1_interface(
         p_hit,
@@ -136,7 +153,7 @@ pub fn render(r: &Fig1Report) -> String {
     out.push_str("Fig. 1: energy interface for the ML-model web service\n\n");
 
     // Print the actual interface with the measured constants.
-    let cal = service().calibrate_cnn();
+    let cal = calibration();
     let nic = datacenter_nic();
     let iface = fig1_interface(
         r.p_hit,

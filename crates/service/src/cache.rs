@@ -10,17 +10,6 @@ use std::collections::{BTreeMap, HashMap};
 use ei_core::units::{Energy, TimeSpan};
 use ei_hw::nic::NicSim;
 
-/// Where a lookup was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheOutcome {
-    /// Found in local DRAM.
-    LocalHit,
-    /// Found in the remote tier (fetched over the NIC, promoted locally).
-    RemoteHit,
-    /// Not cached anywhere.
-    Miss,
-}
-
 /// Energy characteristics of the cache tiers.
 #[derive(Debug, Clone)]
 pub struct CacheEnergy {
@@ -114,8 +103,6 @@ pub struct RequestCache {
     energy_model: CacheEnergy,
     nic: NicSim,
     now: TimeSpan,
-    /// `(local hits, remote hits, misses)`.
-    counters: (u64, u64, u64),
     energy: Energy,
     /// Whether the remote cache node is reachable (fault injection).
     remote_alive: bool,
@@ -135,7 +122,6 @@ impl RequestCache {
             energy_model,
             nic,
             now: TimeSpan::ZERO,
-            counters: (0, 0, 0),
             energy: Energy::ZERO,
             remote_alive: true,
         }
@@ -157,32 +143,6 @@ impl RequestCache {
         &mut self.nic
     }
 
-    /// Looks up `key`, serving `response_len` bytes on a hit. Advances the
-    /// service clock to `now` (drives NIC sleep/wake). Returns the outcome
-    /// and the energy consumed by the lookup.
-    pub fn lookup(&mut self, key: u64, response_len: u64, now: TimeSpan) -> (CacheOutcome, Energy) {
-        self.now = now;
-        let mut e = self.energy_model.local_lookup;
-        let outcome = if self.local.contains_touch(key) {
-            e += self.energy_model.local_per_byte * response_len as f64;
-            self.counters.0 += 1;
-            CacheOutcome::LocalHit
-        } else if self.remote_alive && self.remote.contains_touch(key) {
-            // Request + response over the NIC, then promote locally.
-            e += self.nic.transfer(now, 96);
-            e += self.nic.transfer(now, response_len);
-            e += self.energy_model.remote_per_byte * response_len as f64;
-            self.local.insert(key);
-            self.counters.1 += 1;
-            CacheOutcome::RemoteHit
-        } else {
-            self.counters.2 += 1;
-            CacheOutcome::Miss
-        };
-        self.energy += e;
-        (outcome, e)
-    }
-
     /// Inserts a freshly computed response into both tiers. While the
     /// remote node is dead the insert only lands locally (no NIC
     /// transfer) — the degraded mode sheds the replication write.
@@ -197,12 +157,10 @@ impl RequestCache {
         e
     }
 
-    /// Probes the local tier only: pays the fixed lookup cost, and serves
-    /// `response_len` bytes from local DRAM on a hit. Unlike
-    /// [`Self::lookup`] this does not touch the hit/miss counters — the
-    /// serving frontend that drives the split path keeps its own
-    /// final-path accounting (a request can try several tiers before it
-    /// settles).
+    /// Probes the local tier: pays the fixed lookup cost, and serves
+    /// `response_len` bytes from local DRAM on a hit. Advances the cache
+    /// clock to `now` (drives NIC sleep/wake). Hit/miss accounting is the
+    /// caller's: a request can try several tiers before it settles.
     pub fn lookup_local(&mut self, key: u64, response_len: u64, now: TimeSpan) -> (bool, Energy) {
         self.now = now;
         let mut e = self.energy_model.local_lookup;
@@ -217,9 +175,9 @@ impl RequestCache {
     /// One attempt against the remote tier over the NIC. Returns `None`
     /// when the remote node is dead (nothing was sent); otherwise
     /// `(hit, energy, completion latency)` — the latency is what a caller
-    /// with a request deadline compares against its timeout. A hit is
-    /// promoted into the local tier. Counters are left to the caller, as
-    /// with [`Self::lookup_local`].
+    /// with a request deadline compares against its timeout. Every attempt
+    /// sends one 96-byte request packet; a hit also pays the response and
+    /// is promoted into the local tier.
     pub fn lookup_remote_timed(
         &mut self,
         key: u64,
@@ -241,11 +199,6 @@ impl RequestCache {
         }
         self.energy += e;
         Some((hit, e, latency))
-    }
-
-    /// `(local hits, remote hits, misses)` so far.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        self.counters
     }
 
     /// Cumulative cache-path energy (incl. NIC).
@@ -275,31 +228,42 @@ mod tests {
         )
     }
 
+    /// One request's walk down the tiers, as the serving frontend takes it:
+    /// local first, then one remote attempt. `None` is a miss everywhere.
+    fn serve(c: &mut RequestCache, key: u64, len: u64, now: TimeSpan) -> Option<(bool, Energy)> {
+        let (local, e_local) = c.lookup_local(key, len, now);
+        if local {
+            return Some((true, e_local));
+        }
+        match c.lookup_remote_timed(key, len, now) {
+            Some((true, e_remote, _)) => Some((false, e_local + e_remote)),
+            _ => None,
+        }
+    }
+
     #[test]
     fn miss_then_hit_progression() {
         let mut c = cache(4, 64);
-        let (o, _) = c.lookup(1, 1024, TimeSpan::ZERO);
-        assert_eq!(o, CacheOutcome::Miss);
+        assert_eq!(serve(&mut c, 1, 1024, TimeSpan::ZERO), None);
         c.insert(1, 1024);
-        let (o, e_local) = c.lookup(1, 1024, TimeSpan::seconds(0.001));
-        assert_eq!(o, CacheOutcome::LocalHit);
+        let (local, e_local) = serve(&mut c, 1, 1024, TimeSpan::seconds(0.001)).unwrap();
+        assert!(local);
         assert!(e_local.as_joules() > 0.0);
-        assert_eq!(c.counters(), (1, 0, 1));
     }
 
     #[test]
     fn local_eviction_falls_back_to_remote() {
         let mut c = cache(2, 64);
         for k in 0..4 {
-            c.lookup(k, 128, TimeSpan::ZERO);
+            serve(&mut c, k, 128, TimeSpan::ZERO);
             c.insert(k, 128);
         }
         // Key 0 was evicted locally but survives remotely.
-        let (o, e_remote) = c.lookup(0, 128, TimeSpan::seconds(0.01));
-        assert_eq!(o, CacheOutcome::RemoteHit);
+        let (local, e_remote) = serve(&mut c, 0, 128, TimeSpan::seconds(0.01)).unwrap();
+        assert!(!local, "served by the remote tier");
         // Remote hits cost more than local hits.
-        let (o2, e_local) = c.lookup(0, 128, TimeSpan::seconds(0.02));
-        assert_eq!(o2, CacheOutcome::LocalHit, "promotion after remote hit");
+        let (local, e_local) = serve(&mut c, 0, 128, TimeSpan::seconds(0.02)).unwrap();
+        assert!(local, "promotion after remote hit");
         assert!(e_remote > e_local);
     }
 
@@ -307,20 +271,38 @@ mod tests {
     fn remote_eviction_leads_to_miss() {
         let mut c = cache(1, 2);
         for k in 0..5 {
-            c.lookup(k, 64, TimeSpan::ZERO);
+            serve(&mut c, k, 64, TimeSpan::ZERO);
             c.insert(k, 64);
         }
-        let (o, _) = c.lookup(0, 64, TimeSpan::ZERO);
-        assert_eq!(o, CacheOutcome::Miss);
+        assert_eq!(serve(&mut c, 0, 64, TimeSpan::ZERO), None);
+    }
+
+    #[test]
+    fn remote_miss_costs_one_request_packet_and_promotes_nothing() {
+        let now = TimeSpan::seconds(0.5);
+        let mut c = cache(4, 64);
+        c.insert(1, 1024);
+        let (packets, bytes, _) = c.nic_mut().counters();
+        let resident = c.local_len();
+        let (hit, e, latency) = c.lookup_remote_timed(7, 1024, now).unwrap();
+        assert!(!hit);
+        // Exactly the 96-byte request packet, priced as a twin NIC in the
+        // same state prices it: no response bytes, no remote-node energy.
+        let mut twin = NicSim::new(datacenter_nic());
+        twin.transfer(TimeSpan::ZERO, 1024);
+        assert_eq!((e, latency), twin.transfer_timed(now, 96));
+        let (packets_after, bytes_after, _) = c.nic_mut().counters();
+        assert_eq!((packets_after - packets, bytes_after - bytes), (1, 96));
+        assert_eq!(c.local_len(), resident, "a miss promotes nothing");
+        assert!(!c.lookup_local(7, 1024, now).0);
     }
 
     #[test]
     fn energy_scales_with_response_len() {
         let mut a = cache(8, 64);
-        a.lookup(1, 0, TimeSpan::ZERO);
         a.insert(1, 1024);
-        let (_, e_small) = a.lookup(1, 256, TimeSpan::ZERO);
-        let (_, e_big) = a.lookup(1, 4096, TimeSpan::ZERO);
+        let (_, e_small) = a.lookup_local(1, 256, TimeSpan::ZERO);
+        let (_, e_big) = a.lookup_local(1, 4096, TimeSpan::ZERO);
         assert!(e_big.as_joules() > 3.0 * e_small.as_joules());
     }
 
@@ -328,15 +310,14 @@ mod tests {
     fn dead_remote_node_degrades_to_local_only() {
         let mut c = cache(2, 64);
         for k in 0..4 {
-            c.lookup(k, 128, TimeSpan::ZERO);
+            serve(&mut c, k, 128, TimeSpan::ZERO);
             c.insert(k, 128);
         }
         c.set_remote_alive(false);
         assert!(!c.remote_alive());
         // Key 0 was evicted locally; with the remote node dead the remote
-        // copy is unreachable, so the combined lookup misses.
-        let (o, _) = c.lookup(0, 128, TimeSpan::ZERO);
-        assert_eq!(o, CacheOutcome::Miss);
+        // copy is unreachable and nothing is sent.
+        assert!(!c.lookup_local(0, 128, TimeSpan::ZERO).0);
         assert!(c.lookup_remote_timed(0, 128, TimeSpan::ZERO).is_none());
         // Inserts shed the replication write while the node is dead.
         let e_dead = c.insert(100, 128);
@@ -347,19 +328,20 @@ mod tests {
         // keeps it; the revived remote tier never saw it.
         c.insert(102, 128); // evicts 100 or 101 from the 2-entry local tier
         c.insert(103, 128);
-        let (outcome, _) = c.lookup(100, 128, TimeSpan::ZERO);
-        assert_eq!(outcome, CacheOutcome::Miss, "100 was never replicated");
+        assert_eq!(
+            serve(&mut c, 100, 128, TimeSpan::ZERO),
+            None,
+            "100 was never replicated"
+        );
     }
 
     #[test]
-    fn counters_and_cumulative_energy() {
+    fn cumulative_energy_and_residency() {
         let mut c = cache(8, 64);
-        c.lookup(1, 128, TimeSpan::ZERO);
-        c.insert(1, 128);
-        c.lookup(1, 128, TimeSpan::ZERO);
-        let (l, r, m) = c.counters();
-        assert_eq!((l, r, m), (1, 0, 1));
-        assert!(c.energy().as_joules() > 0.0);
+        let (_, e_probe) = c.lookup_local(1, 128, TimeSpan::ZERO);
+        let e_insert = c.insert(1, 128);
+        let (_, e_hit) = c.lookup_local(1, 128, TimeSpan::ZERO);
+        assert_eq!(c.energy(), e_probe + e_insert + e_hit);
         assert_eq!(c.local_len(), 1);
     }
 

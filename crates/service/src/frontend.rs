@@ -1,12 +1,13 @@
 //! Multi-replica serving frontend with fault injection and graceful
 //! degradation.
 //!
-//! The Fig. 1 service as deployed, not as drawn: several replicas behind
-//! an admission controller, each with its own accelerator, NIC, two-tier
-//! cache, and NVML-style meter. A seeded [`FaultPlan`] drives the
-//! hardware through brownouts, flaky links, cache-node death, and meter
-//! dropouts on the *logical* service clock, and the frontend answers with
-//! the degraded modes real serving tiers use:
+//! The Fig. 1 service as deployed: several replicas behind an admission
+//! controller, each with its own accelerator, NIC, two-tier cache, and
+//! NVML-style meter. One replica on a healthy plan is the service as
+//! drawn, the ground truth of Fig. 1 and E6. A seeded [`FaultPlan`]
+//! drives the hardware through brownouts, flaky links, cache-node death,
+//! and meter dropouts on the *logical* service clock, and the frontend
+//! answers with the degraded modes real serving tiers use:
 //!
 //! - **Admission control**: a request is shed when the least-loaded
 //!   replica's backlog exceeds [`FrontendConfig::max_backlog`].
@@ -480,21 +481,12 @@ fn apply_fault(replica: &mut Replica, st: &FaultState) {
     replica.meter.set_dropout(st.meter_dropout);
 }
 
-/// Calibrates the CNN leaves on a fresh probe device with a fault
-/// injected: the browned-leaf constants (`relu_br`, `mlp_br`,
-/// `conv2d_br`) of the fault-conditioned interface. `derate = 1.0,
-/// sm_loss = 0.0` yields the healthy calibration.
-pub fn calibrate_with_fault(gpu: &GpuConfig, derate: f64, sm_loss: f64) -> Option<CnnCalibration> {
-    let mut probe = CnnModel::new(GpuSim::new(gpu.clone()))?;
-    if derate < 1.0 || sm_loss > 0.0 {
-        probe.gpu_mut().set_fault(derate, sm_loss);
-    }
-    Some(probe.calibrate())
-}
-
 /// Calibrates the CNN leaves on a fresh probe device resolved to a full
 /// [`FaultState`] — fault *and* drift — the way an online refit campaign
 /// runs its microbenchmarks against whatever the device has become.
+/// [`FaultState::healthy`] yields the healthy calibration; a state with
+/// only `gpu_derate`/`gpu_sm_loss` set yields the browned-leaf constants
+/// (`relu_br`, `mlp_br`, `conv2d_br`) of the fault-conditioned interface.
 pub fn calibrate_with_state(gpu: &GpuConfig, st: &FaultState) -> Option<CnnCalibration> {
     let mut probe = CnnModel::new(GpuSim::new(gpu.clone()))?;
     if st.gpu_browned() {
@@ -516,7 +508,7 @@ pub fn calibrate_with_state(gpu: &GpuConfig, st: &FaultState) -> Option<CnnCalib
 /// `gpu_brownout` selects the browned leaf calibration, and `degraded`
 /// (conditional on a brownout) selects the half-depth model. The
 /// probabilities come from a measured [`FaultMixture`]; the browned leaf
-/// constants from [`calibrate_with_fault`]. Evaluate with
+/// constants from [`calibrate_with_state`]. Evaluate with
 /// [`fig1_faulted_calibration`] so both healthy and browned abstract
 /// units resolve.
 pub fn fig1_interface_faulted(
@@ -647,9 +639,9 @@ pub fn fig1_faulted_calibration(cnn: &CnnCalibration, cnn_browned: &CnnCalibrati
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::request_stream;
+    use crate::service::{fig1_calibration, fig1_interface, request_stream};
     use ei_core::ecv::EcvEnv;
-    use ei_core::interp::{enumerate_exact, EvalConfig};
+    use ei_core::interp::{enumerate_exact, EvalConfig, ExecMode};
     use ei_core::value::Value;
     use ei_hw::faults::{standard_matrix, Fault};
     use ei_hw::gpu::rtx4090;
@@ -665,6 +657,102 @@ mod tests {
             FrontendConfig::default(),
         )
         .expect("model fits")
+    }
+
+    /// Fig. 1's service as drawn: one healthy replica.
+    fn fig1_service() -> ServiceFrontend {
+        ServiceFrontend::new(
+            rtx4090(),
+            datacenter_nic(),
+            256,
+            4096,
+            FaultPlan::healthy(0),
+            FrontendConfig {
+                replicas: 1,
+                ..FrontendConfig::default()
+            },
+        )
+        .expect("model fits")
+    }
+
+    #[test]
+    fn fig1_interface_validates_against_measurement() {
+        let mut svc = fig1_service();
+        let cal = calibrate_with_state(&rtx4090(), &FaultState::healthy()).unwrap();
+
+        // Serve a workload with a hot set that fits the local cache.
+        let stream = request_stream(2000, 200, 0.6, 16384, 0.25, 42);
+        assert_eq!(
+            svc.run(&stream, TimeSpan::millis(5.0)),
+            2000,
+            "nothing shed"
+        );
+        let mix = svc.stats().mixture();
+        let (p_hit, p_local) = (mix.p_request_hit, mix.p_local_hit);
+        assert!(p_hit > 0.3 && p_hit < 0.9, "p_hit={p_hit}");
+
+        // Build Fig. 1's interface with the measured rates and constants.
+        let nic_cfg = datacenter_nic();
+        let iface = fig1_interface(
+            p_hit,
+            p_local,
+            &cal,
+            &CacheEnergy::default(),
+            nic_cfg.e_byte,
+            nic_cfg.e_packet,
+        );
+        let cfg = EvalConfig {
+            calibration: fig1_calibration(&cal),
+            ..EvalConfig::default()
+        };
+        let req = Value::num_record([
+            ("image_id", 1.0),
+            ("image_size", 16384.0),
+            ("image_zeros", 4096.0),
+        ]);
+        let enumerate = |cfg: &EvalConfig| {
+            enumerate_exact(
+                &iface,
+                "handle",
+                std::slice::from_ref(&req),
+                &EcvEnv::from_decls(&iface.ecvs),
+                64,
+                cfg,
+            )
+            .unwrap()
+        };
+        let dist = enumerate(&cfg);
+        // The Fig. 1 validation must not depend on the engine: the
+        // tree-walk reference has to reproduce the VM's enumerated
+        // distribution exactly.
+        let reference = enumerate(&EvalConfig {
+            mode: ExecMode::TreeWalk,
+            ..cfg.clone()
+        });
+        assert_eq!(dist, reference, "engines diverge on the Fig. 1 interface");
+        let predicted = dist.mean();
+        let measured = svc.mean_request_energy();
+        let rel = (predicted.as_joules() - measured.as_joules()).abs() / measured.as_joules();
+        assert!(
+            rel < 0.10,
+            "Fig. 1 interface off by {rel}: predicted {predicted}, measured {measured}"
+        );
+    }
+
+    #[test]
+    fn hit_rates_respond_to_popularity() {
+        let mut hot = fig1_service();
+        hot.run(
+            &request_stream(800, 50, 0.9, 4096, 0.0, 7),
+            TimeSpan::millis(1.0),
+        );
+        let mut cold = fig1_service();
+        cold.run(
+            &request_stream(800, 50, 0.1, 4096, 0.0, 7),
+            TimeSpan::millis(1.0),
+        );
+        assert!(hot.stats().mixture().p_request_hit > cold.stats().mixture().p_request_hit);
+        assert!(hot.mean_request_energy() < cold.mean_request_energy());
     }
 
     #[test]
@@ -880,8 +968,16 @@ mod tests {
         fe.run(&stream, TimeSpan::millis(5.0));
         let mix = fe.stats().mixture();
 
-        let cal = calibrate_with_fault(&rtx4090(), 1.0, 0.0).unwrap();
-        let cal_br = calibrate_with_fault(&rtx4090(), 0.45, 0.25).unwrap();
+        let cal = calibrate_with_state(&rtx4090(), &FaultState::healthy()).unwrap();
+        let cal_br = calibrate_with_state(
+            &rtx4090(),
+            &FaultState {
+                gpu_derate: 0.45,
+                gpu_sm_loss: 0.25,
+                ..FaultState::healthy()
+            },
+        )
+        .unwrap();
         let nic_cfg = datacenter_nic();
         let iface = fig1_interface_faulted(
             &mix,

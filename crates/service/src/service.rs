@@ -1,24 +1,22 @@
-//! The ML-model web service of Fig. 1, end to end.
+//! The ML-model web service of Fig. 1: its requests and its energy
+//! interface.
 //!
-//! Ground truth: requests flow through the two-tier cache; misses run the
-//! CNN on the accelerator and insert the response. The service's energy
-//! interface is Fig. 1's program — ECVs `request_hit` and
+//! The interface is Fig. 1's program — ECVs `request_hit` and
 //! `local_cache_hit` capture the cache state, the CNN branch composes the
-//! calibrated conv2d/relu/mlp leaves — and the validation harness measures
-//! the true hit rates, pins them into the ECVs, and compares prediction
-//! against measurement.
+//! calibrated conv2d/relu/mlp leaves. The running service it is validated
+//! against is [`ServiceFrontend`](crate::frontend::ServiceFrontend): the
+//! harness serves a stream, pins the measured hit rates into the ECVs, and
+//! compares prediction against measurement.
 
 use ei_core::interface::{InputSpec, Interface};
 use ei_core::parser::parse;
 use ei_core::pretty::fmt_eil_num;
-use ei_core::units::{Calibration, Energy, TimeSpan};
-use ei_hw::gpu::GpuSim;
-use ei_hw::nic::NicSim;
+use ei_core::units::{Calibration, Energy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cache::{CacheEnergy, CacheOutcome, RequestCache};
-use crate::cnn::{CnnCalibration, CnnModel};
+use crate::cache::CacheEnergy;
+use crate::cnn::CnnCalibration;
 
 /// One request to the service.
 #[derive(Debug, Clone, Copy)]
@@ -34,96 +32,6 @@ pub struct Request {
 /// The response length the service serves from cache (Fig. 1's
 /// `max_response_len`).
 pub const MAX_RESPONSE_LEN: u64 = 1024;
-
-/// The running service with its substrates.
-pub struct MlWebService {
-    cache: RequestCache,
-    cnn: CnnModel,
-    now: TimeSpan,
-    /// Per-request energies, for measurement campaigns.
-    log: Vec<(CacheOutcome, Energy)>,
-}
-
-impl MlWebService {
-    /// Brings the service up on the given accelerator and NIC.
-    pub fn new(
-        gpu: GpuSim,
-        nic: NicSim,
-        local_entries: usize,
-        remote_entries: usize,
-    ) -> Option<Self> {
-        Some(MlWebService {
-            cache: RequestCache::new(local_entries, remote_entries, CacheEnergy::default(), nic),
-            cnn: CnnModel::new(gpu)?,
-            now: TimeSpan::ZERO,
-            log: Vec::new(),
-        })
-    }
-
-    /// Handles one request; returns its true energy. Requests arrive
-    /// `inter_arrival` apart (drives NIC state).
-    pub fn handle(&mut self, req: Request, inter_arrival: TimeSpan) -> Energy {
-        let mut sp = ei_telemetry::span(ei_telemetry::SpanKind::Request, "handle");
-        sp.add_items(1);
-        self.now += inter_arrival;
-        let (outcome, mut e) = self.cache.lookup(req.image_id, MAX_RESPONSE_LEN, self.now);
-        ei_telemetry::counter_add(
-            match outcome {
-                CacheOutcome::LocalHit => "service.requests_local_hit",
-                CacheOutcome::RemoteHit => "service.requests_remote_hit",
-                CacheOutcome::Miss => "service.requests_miss",
-            },
-            1,
-        );
-        if outcome == CacheOutcome::Miss {
-            e += self.cnn.forward(req.image_size, req.image_zeros);
-            e += self.cache.insert(req.image_id, MAX_RESPONSE_LEN);
-        }
-        sp.record_energy(e.as_joules());
-        ei_telemetry::observe(
-            "service.request_energy_j",
-            &ei_telemetry::ENERGY_J,
-            e.as_joules(),
-        );
-        self.log.push((outcome, e));
-        e
-    }
-
-    /// Measured hit rates so far: `(request_hit, local_given_hit)`.
-    pub fn measured_hit_rates(&self) -> (f64, f64) {
-        let (l, r, m) = self.cache.counters();
-        let hits = l + r;
-        let total = hits + m;
-        if total == 0 {
-            return (0.0, 0.0);
-        }
-        let p_hit = hits as f64 / total as f64;
-        let p_local = if hits == 0 {
-            0.0
-        } else {
-            l as f64 / hits as f64
-        };
-        (p_hit, p_local)
-    }
-
-    /// Mean measured energy per request.
-    pub fn mean_request_energy(&self) -> Energy {
-        if self.log.is_empty() {
-            return Energy::ZERO;
-        }
-        Energy(self.log.iter().map(|(_, e)| e.as_joules()).sum::<f64>() / self.log.len() as f64)
-    }
-
-    /// The request log.
-    pub fn log(&self) -> &[(CacheOutcome, Energy)] {
-        &self.log
-    }
-
-    /// Runs the calibration pass on the accelerator (before serving).
-    pub fn calibrate_cnn(&mut self) -> CnnCalibration {
-        self.cnn.calibrate()
-    }
-}
 
 /// Builds Fig. 1's energy interface with measured constants.
 ///
@@ -245,96 +153,20 @@ pub fn request_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frontend::calibrate_with_state;
     use ei_core::ecv::EcvEnv;
-    use ei_core::interp::{enumerate_exact, EvalConfig, ExecMode};
+    use ei_core::interp::{enumerate_exact, EvalConfig};
     use ei_core::value::Value;
+    use ei_hw::faults::FaultState;
     use ei_hw::gpu::rtx4090;
     use ei_hw::nic::datacenter_nic;
-
-    fn service() -> MlWebService {
-        MlWebService::new(
-            GpuSim::new(rtx4090()),
-            NicSim::new(datacenter_nic()),
-            256,
-            4096,
-        )
-        .expect("service fits")
-    }
-
-    #[test]
-    fn fig1_interface_validates_against_measurement() {
-        let mut svc = service();
-        let cal = svc.calibrate_cnn();
-
-        // Serve a workload with a hot set that fits the local cache.
-        let stream = request_stream(2000, 200, 0.6, 16384, 0.25, 42);
-        for req in &stream {
-            svc.handle(*req, TimeSpan::millis(5.0));
-        }
-        let (p_hit, p_local) = svc.measured_hit_rates();
-        assert!(p_hit > 0.3 && p_hit < 0.9, "p_hit={p_hit}");
-
-        // Build Fig. 1's interface with the measured rates and constants.
-        let nic_cfg = datacenter_nic();
-        let iface = fig1_interface(
-            p_hit,
-            p_local,
-            &cal,
-            &CacheEnergy::default(),
-            nic_cfg.e_byte,
-            nic_cfg.e_packet,
-        );
-        let cfg = EvalConfig {
-            calibration: fig1_calibration(&cal),
-            ..EvalConfig::default()
-        };
-
-        let req = Value::num_record([
-            ("image_id", 1.0),
-            ("image_size", 16384.0),
-            ("image_zeros", 4096.0),
-        ]);
-        let dist = enumerate_exact(
-            &iface,
-            "handle",
-            std::slice::from_ref(&req),
-            &EcvEnv::from_decls(&iface.ecvs),
-            64,
-            &cfg,
-        )
-        .unwrap();
-        // The Fig. 1 validation must not depend on the engine: the
-        // tree-walk reference has to reproduce the VM's enumerated
-        // distribution exactly.
-        let reference = enumerate_exact(
-            &iface,
-            "handle",
-            std::slice::from_ref(&req),
-            &EcvEnv::from_decls(&iface.ecvs),
-            64,
-            &EvalConfig {
-                mode: ExecMode::TreeWalk,
-                ..cfg.clone()
-            },
-        )
-        .unwrap();
-        assert_eq!(dist, reference, "engines diverge on the Fig. 1 interface");
-        let predicted = dist.mean();
-        let measured = svc.mean_request_energy();
-        let rel = (predicted.as_joules() - measured.as_joules()).abs() / measured.as_joules();
-        assert!(
-            rel < 0.10,
-            "Fig. 1 interface off by {rel}: predicted {predicted}, measured {measured}"
-        );
-    }
 
     #[test]
     fn interface_reveals_cache_hit_leverage() {
         // §3: the service-level interface "suggests that increasing local
         // cache hits may be a more productive way of reducing energy
         // footprint than by optimizing the ML model itself".
-        let mut svc = service();
-        let cal = svc.calibrate_cnn();
+        let cal = calibrate_with_state(&rtx4090(), &FaultState::healthy()).expect("probe fits");
         let nic_cfg = datacenter_nic();
         let make = |p_hit: f64| {
             fig1_interface(
@@ -372,20 +204,6 @@ mod tests {
         // Raising the hit rate from 20 % to 80 % cuts the expected energy
         // by more than half — more leverage than any plausible model tweak.
         assert!(high.as_joules() < 0.5 * low.as_joules());
-    }
-
-    #[test]
-    fn hit_rates_respond_to_popularity() {
-        let mut hot = service();
-        for req in request_stream(800, 50, 0.9, 4096, 0.0, 7) {
-            hot.handle(req, TimeSpan::millis(1.0));
-        }
-        let mut cold = service();
-        for req in request_stream(800, 50, 0.1, 4096, 0.0, 7) {
-            cold.handle(req, TimeSpan::millis(1.0));
-        }
-        assert!(hot.measured_hit_rates().0 > cold.measured_hit_rates().0);
-        assert!(hot.mean_request_energy() < cold.mean_request_energy());
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! 1. **Determinism.** Monitoring a deterministic system must itself be
 //!    deterministic, or the trace cannot be diffed, snapshot, or used in
 //!    regression tests. There is no wall time anywhere: latency is
-//!    measured in interpreter fuel (evaluation steps), span ordering
+//!    measured in interpreter fuel (evaluation steps, recorded per
+//!    evaluation in a histogram, never on spans), span ordering
 //!    comes from a logical clock (per-thread event-sequence numbers,
 //!    explicit indices for farmed-out work), and every aggregate is
 //!    integer arithmetic. The same workload produces **byte-identical

@@ -25,7 +25,9 @@
 //!
 //! Traces must be byte-stable across runs *and thread counts*, so:
 //!
-//! - No wall time anywhere. The "latency" metric is interpreter fuel.
+//! - No wall time anywhere. Spans carry energy and item counts, not
+//!   latency; the one logical latency metric is interpreter fuel, the
+//!   `core.interp.fuel_per_eval` histogram.
 //! - All aggregation is integer addition / min / max — order-free.
 //! - Spans carry **event-sequence numbers** from a per-thread logical
 //!   clock that ticks once per span opened. Serial code gets a
@@ -116,7 +118,6 @@ struct SpanAgg {
     first_seq: u64,
     last_seq: u64,
     energy_nj: u64,
-    fuel: u64,
     items: u64,
 }
 
@@ -126,7 +127,6 @@ impl SpanAgg {
         self.first_seq = self.first_seq.min(other.first_seq);
         self.last_seq = self.last_seq.max(other.last_seq);
         self.energy_nj = self.energy_nj.wrapping_add(other.energy_nj);
-        self.fuel = self.fuel.wrapping_add(other.fuel);
         self.items = self.items.wrapping_add(other.items);
     }
 }
@@ -336,7 +336,6 @@ pub struct Span {
     prev_len: usize,
     seq: u64,
     energy_nj: u64,
-    fuel: u64,
     items: u64,
 }
 
@@ -348,7 +347,6 @@ impl Span {
             prev_len: 0,
             seq: 0,
             energy_nj: 0,
-            fuel: 0,
             items: 0,
         }
     }
@@ -360,14 +358,6 @@ impl Span {
             self.energy_nj = self
                 .energy_nj
                 .wrapping_add(crate::hist::ENERGY_J.ticks(joules));
-        }
-    }
-
-    /// Adds interpreter fuel (logical latency) attributed to this span.
-    #[inline]
-    pub fn record_fuel(&mut self, fuel: u64) {
-        if self.active {
-            self.fuel = self.fuel.wrapping_add(fuel);
         }
     }
 
@@ -396,7 +386,6 @@ impl Drop for Span {
                 first_seq: self.seq,
                 last_seq: self.seq,
                 energy_nj: self.energy_nj,
-                fuel: self.fuel,
                 items: self.items,
             };
             match s.spans.entry(s.path.clone()) {
@@ -437,7 +426,6 @@ pub fn span(kind: SpanKind, name: &str) -> Span {
             prev_len,
             seq,
             energy_nj: 0,
-            fuel: 0,
             items: 0,
         }
     })
@@ -470,7 +458,6 @@ pub fn span_indexed(parent: &str, kind: SpanKind, name: &str, index: u64) -> Spa
             prev_len,
             seq: index,
             energy_nj: 0,
-            fuel: 0,
             items: 0,
         }
     })
@@ -561,7 +548,6 @@ impl Session {
                     first_seq: a.first_seq,
                     last_seq: a.last_seq,
                     energy_nj: a.energy_nj,
-                    fuel: a.fuel,
                     items: a.items,
                 })
                 .collect(),

@@ -19,8 +19,6 @@ pub struct SpanSnap {
     pub last_seq: u64,
     /// Total energy attributed to the span, in nanojoule ticks.
     pub energy_nj: u64,
-    /// Total interpreter fuel (logical latency) attributed.
-    pub fuel: u64,
     /// Total items (samples, requests, tokens) processed.
     pub items: u64,
 }
@@ -88,13 +86,12 @@ impl Snapshot {
             out.push_str(&format!("{n}_sum {}\n{n}_count {}\n", h.sum_ticks, h.count));
         }
         if !self.spans.is_empty() {
-            for family in ["count", "energy_nj", "fuel", "items"] {
+            for family in ["count", "energy_nj", "items"] {
                 out.push_str(&format!("# TYPE ei_span_{family} counter\n"));
                 for s in &self.spans {
                     let v = match family {
                         "count" => s.count,
                         "energy_nj" => s.energy_nj,
-                        "fuel" => s.fuel,
                         _ => s.items,
                     };
                     out.push_str(&format!(
@@ -129,7 +126,6 @@ mod tests {
                 first_seq: 0,
                 last_seq: 1,
                 energy_nj: 42,
-                fuel: 303,
                 items: 128,
             }],
         }

@@ -12,29 +12,40 @@ use energy_clarity::core::interp::{enumerate_exact, EvalConfig};
 use energy_clarity::core::pretty::print_interface;
 use energy_clarity::core::units::TimeSpan;
 use energy_clarity::core::value::Value;
-use energy_clarity::hw::gpu::{rtx4090, GpuSim};
-use energy_clarity::hw::nic::{datacenter_nic, NicSim};
+use energy_clarity::hw::faults::{FaultPlan, FaultState};
+use energy_clarity::hw::gpu::rtx4090;
+use energy_clarity::hw::nic::datacenter_nic;
 use energy_clarity::service::{
-    fig1_calibration, fig1_interface, request_stream, CacheEnergy, MlWebService,
+    calibrate_with_state, fig1_calibration, fig1_interface, request_stream, CacheEnergy,
+    FrontendConfig, ServiceFrontend,
 };
 
 fn main() {
-    // Bring the service up: CNN on a 4090-class accelerator, request cache
-    // with 256 local entries backed by a remote tier over a 10 GbE NIC.
-    let mut svc = MlWebService::new(
-        GpuSim::new(rtx4090()),
-        NicSim::new(datacenter_nic()),
+    // Bring the service up: one healthy replica with its CNN on a
+    // 4090-class accelerator and a request cache with 256 local entries
+    // backed by a remote tier over a 10 GbE NIC.
+    let mut svc = ServiceFrontend::new(
+        rtx4090(),
+        datacenter_nic(),
         256,
         4096,
+        FaultPlan::healthy(0),
+        FrontendConfig {
+            replicas: 1,
+            ..FrontendConfig::default()
+        },
     )
     .expect("service fits on the accelerator");
-    let cal = svc.calibrate_cnn();
+    let cal = calibrate_with_state(&rtx4090(), &FaultState::healthy())
+        .expect("probe fits on the accelerator");
 
     // Serve a realistic stream: 60 % of requests target 200 hot images.
-    for req in request_stream(3000, 200, 0.6, 16384, 0.25, 42) {
-        svc.handle(req, TimeSpan::millis(5.0));
-    }
-    let (p_hit, p_local) = svc.measured_hit_rates();
+    svc.run(
+        &request_stream(3000, 200, 0.6, 16384, 0.25, 42),
+        TimeSpan::millis(5.0),
+    );
+    let mix = svc.stats().mixture();
+    let (p_hit, p_local) = (mix.p_request_hit, mix.p_local_hit);
     println!(
         "measured: p(request_hit) = {p_hit:.3}, p(local | hit) = {p_local:.3}, \
          mean energy {}/request",

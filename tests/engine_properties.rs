@@ -358,9 +358,10 @@ interface sink "every construct" {
 /// `examples/eil/*.eil`, GPT-2 (single-stream and batch), both Fig. 1
 /// interfaces, and [`SINK_SRC`].
 fn fingerprint_corpus() -> Vec<Interface> {
+    use ei_hw::faults::FaultState;
     use ei_hw::gpu::rtx4090;
     use ei_hw::nic::datacenter_nic;
-    use ei_service::{calibrate_with_fault, fig1_interface_faulted, CacheEnergy, FaultMixture};
+    use ei_service::{calibrate_with_state, fig1_interface_faulted, CacheEnergy, FaultMixture};
 
     let mut out = Vec::new();
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/eil");
@@ -378,8 +379,13 @@ fn fingerprint_corpus() -> Vec<Interface> {
     out.push(ei_llm::gpt2_interface(&ei_llm::gpt2_small()));
     out.push(ei_llm::gpt2_batch_interface(&ei_llm::gpt2_small()));
 
-    let cal = calibrate_with_fault(&rtx4090(), 1.0, 0.0).expect("probe fits");
-    let cal_br = calibrate_with_fault(&rtx4090(), 0.85, 0.25).expect("probe fits");
+    let cal = calibrate_with_state(&rtx4090(), &FaultState::healthy()).expect("probe fits");
+    let browned = FaultState {
+        gpu_derate: 0.85,
+        gpu_sm_loss: 0.25,
+        ..FaultState::healthy()
+    };
+    let cal_br = calibrate_with_state(&rtx4090(), &browned).expect("probe fits");
     let nic = datacenter_nic();
     out.push(ei_service::fig1_interface(
         0.25,

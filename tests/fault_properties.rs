@@ -14,11 +14,11 @@ use ei_core::ecv::EcvEnv;
 use ei_core::interp::{monte_carlo_par, EvalConfig};
 use ei_core::units::TimeSpan;
 use ei_core::value::Value;
-use ei_hw::faults::{standard_matrix, FaultPlan};
+use ei_hw::faults::{standard_matrix, FaultPlan, FaultState};
 use ei_hw::gpu::rtx4090;
 use ei_hw::nic::datacenter_nic;
 use ei_service::{
-    calibrate_with_fault, fig1_faulted_calibration, fig1_interface_faulted, request_stream,
+    calibrate_with_state, fig1_faulted_calibration, fig1_interface_faulted, request_stream,
     CacheEnergy, FaultMixture, FrontendConfig, FrontendStats, ServiceFrontend,
 };
 use ei_telemetry as telemetry;
@@ -142,9 +142,10 @@ proptest! {
         fe.run(&stream, TimeSpan::millis(5.0));
         let mix = fe.stats().mixture();
 
-        let cal = calibrate_with_fault(&rtx4090(), 1.0, 0.0).expect("model fits");
+        let cal = calibrate_with_state(&rtx4090(), &FaultState::healthy()).expect("model fits");
         let (derate, sm_loss) = fe.plan().worst_brownout().unwrap_or((1.0, 0.0));
-        let cal_br = calibrate_with_fault(&rtx4090(), derate, sm_loss).expect("model fits");
+        let browned = FaultState { gpu_derate: derate, gpu_sm_loss: sm_loss, ..FaultState::healthy() };
+        let cal_br = calibrate_with_state(&rtx4090(), &browned).expect("model fits");
         let nic = datacenter_nic();
         let iface = fig1_interface_faulted(
             &mix,
@@ -178,30 +179,27 @@ proptest! {
     }
 }
 
-/// The degenerate empty service: no requests ever served. Every summary
-/// statistic must still be a number.
+/// The degenerate empty service: no requests ever served, on the
+/// multi-replica deployment and on Fig. 1's single replica alike. Every
+/// summary statistic must still be a number.
 #[test]
 fn empty_runs_yield_numbers_not_nan() {
-    let fe = ServiceFrontend::new(
-        rtx4090(),
-        datacenter_nic(),
-        64,
-        1024,
-        FaultPlan::healthy(0),
-        FrontendConfig::default(),
-    )
-    .unwrap();
-    assert_eq!(fe.mean_request_energy().as_joules(), 0.0);
-    assert_mixture_total(&fe.stats().mixture());
-
-    let svc = ei_service::MlWebService::new(
-        ei_hw::gpu::GpuSim::new(rtx4090()),
-        ei_hw::nic::NicSim::new(datacenter_nic()),
-        64,
-        1024,
-    )
-    .unwrap();
-    let (p_hit, p_local) = svc.measured_hit_rates();
-    assert_eq!((p_hit, p_local), (0.0, 0.0));
-    assert_eq!(svc.mean_request_energy().as_joules(), 0.0);
+    for replicas in [1, 2] {
+        let fe = ServiceFrontend::new(
+            rtx4090(),
+            datacenter_nic(),
+            64,
+            1024,
+            FaultPlan::healthy(0),
+            FrontendConfig {
+                replicas,
+                ..FrontendConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(fe.mean_request_energy().as_joules(), 0.0);
+        let mix = fe.stats().mixture();
+        assert_mixture_total(&mix);
+        assert_eq!((mix.p_request_hit, mix.p_local_hit), (0.0, 0.0));
+    }
 }
